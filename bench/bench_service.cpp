@@ -1,8 +1,10 @@
 // Service-path benchmarks: cold-miss vs cache-hit evaluation latency
-// through Service::submit, fingerprint/canonicalization cost, a
-// duplicate-heavy request mix measuring sustained requests/sec, and the
-// router's per-request helpers (route hash, forward encode, id splice)
-// — the entire per-request cost rat_router adds on top of a worker.
+// through Service::submit, fingerprint/canonicalization cost, response
+// rendering (the number formatter alone and a whole evaluate response),
+// a duplicate-heavy request mix measuring sustained requests/sec, and
+// the router's per-request helpers (route hash, forward encode, id
+// splice) — the entire per-request cost rat_router adds on top of a
+// worker.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,8 +12,10 @@
 #include <vector>
 
 #include "core/parameters.hpp"
+#include "core/throughput.hpp"
 #include "io/json.hpp"
 #include "svc/fingerprint.hpp"
+#include "svc/protocol.hpp"
 #include "svc/router.hpp"
 #include "svc/service.hpp"
 
@@ -92,6 +96,56 @@ void BM_CanonicalFingerprint(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CanonicalFingerprint);
+
+/// Every double one pdf1d evaluate response renders: the inputs' 10 and
+/// 13 per clock for its three clocks (49 in all).
+std::vector<double> response_doubles() {
+  const core::RatInputs in = core::pdf1d_inputs();
+  std::vector<double> xs = {in.dataset.bytes_per_element,
+                            in.comm.ideal_bw_bytes_per_sec,
+                            in.comm.alpha_write,
+                            in.comm.alpha_read,
+                            in.comp.ops_per_element,
+                            in.comp.throughput_ops_per_cycle,
+                            in.software.tsoft_sec};
+  xs.insert(xs.end(), in.comp.fclock_hz.begin(), in.comp.fclock_hz.end());
+  for (const core::ThroughputPrediction& p : core::predict_all(in))
+    xs.insert(xs.end(),
+              {p.fclock_hz, p.t_write_sec, p.t_read_sec, p.t_comm_sec,
+               p.t_comp_sec, p.t_rc_sb_sec, p.t_rc_db_sec, p.speedup_sb,
+               p.speedup_db, p.util_comp_sb, p.util_comm_sb, p.util_comp_db,
+               p.util_comm_db});
+  return xs;
+}
+
+void BM_JsonNumber(benchmark::State& state) {
+  // The number formatter over one response's worth of doubles; items/sec
+  // counts numbers, so 1/rate is the per-number cost.
+  const std::vector<double> xs = response_doubles();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (double x : xs) io::append_json_number(out, x);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(xs.size()));
+}
+BENCHMARK(BM_JsonNumber);
+
+void BM_EvaluateResponse(benchmark::State& state) {
+  // Rendering one evaluate response line from already computed
+  // predictions: the render stage of every request, hit or miss.
+  const core::RatInputs inputs = core::pdf1d_inputs();
+  const auto predictions = core::predict_all(inputs);
+  const std::uint64_t fp = svc::fingerprint(inputs);
+  for (auto _ : state) {
+    std::string line = svc::evaluate_response("bench", fp, inputs, predictions);
+    benchmark::DoNotOptimize(line.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EvaluateResponse);
 
 void BM_RequestParse(benchmark::State& state) {
   const std::string line =

@@ -146,7 +146,9 @@ ctest --test-dir build-tsan --output-on-failure \
 
 # ASan+UBSan pass over the worksheet ingestion path, the durable store,
 # the SIMD batch kernel and the prediction service: the io tests (strict
-# parser, loaders, batch runner + checkpoint resume), the store tests
+# parser, loaders, batch runner + checkpoint resume, and the JSON layer:
+# the '^Json' pattern covers the request parser and the number
+# formatter's property test against its printf reference), the store tests
 # (including the recovery property suite, which truncates journals at
 # every byte boundary and bit-flips payloads), the BatchIdentity suite
 # (the '^Batch' pattern covers it: lane loads/stores and the SoA arena
@@ -164,7 +166,7 @@ cmake -B build-asan -G Ninja -DRAT_SANITIZE=address,undefined
 cmake --build build-asan --target test_io test_store test_batch test_svc \
   rat_batch rat_serve
 ctest --test-dir build-asan --output-on-failure \
-  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc)'
+  -R '^(LoadWorksheet|WorksheetDir|Batch|Store|Svc|Json)'
 
 # Scalar-fallback pass: the same identity suite with SIMD forced off
 # (-DRAT_SIMD=off), so the width-1 reference build — what a host without

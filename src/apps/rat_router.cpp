@@ -3,11 +3,12 @@
 // Speaks the same rat.svc.v1 newline-JSON protocol as rat_serve
 // (docs/SERVICE.md) on a loopback TCP listener, but evaluates nothing
 // itself: it spawns N rat_serve worker processes (--stdio --no-tcp,
-// supervised over stdin/stdout pipes) and consistent-hashes every
-// evaluate request by its rat.fp.v1 worksheet fingerprint to the worker
-// that owns that shard — so each distinct design is evaluated and cached
-// exactly once across the fleet, and with --cache-dir each worker
-// warm-starts its own durable shard. Workers that die are respawned in
+// supervised over stdin/stdout pipes) and sends every evaluate request
+// to worker fp % N, where fp is its rat.fp.v1 worksheet fingerprint —
+// so each distinct design is evaluated and cached exactly once across
+// the fleet, and with --cache-dir each worker warm-starts its own
+// durable shard. (Plain modulo, not consistent hashing: a different N
+// moves most designs to another shard.) Workers that die are respawned in
 // place and their in-flight requests re-forwarded; ping/stats fan out
 // and aggregate. Responses are byte-identical to a direct rat_serve.
 //

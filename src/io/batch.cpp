@@ -1,7 +1,6 @@
 #include "io/batch.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "io/json.hpp"
@@ -16,45 +15,58 @@ namespace rat::io {
 
 namespace {
 
-/// Shortest decimal string that round-trips the double (io/json.hpp).
-std::string num(double x) { return json_number(x); }
+/// Appends `key` then @p x; each key literal carries its own leading
+/// punctuation (`{"name":`, `,"alpha_read":`, ...).
+void field(std::string& out, std::string_view key, double x) {
+  out += key;
+  append_json_number(out, x);
+}
+
+void field(std::string& out, std::string_view key, std::size_t v) {
+  out += key;
+  append_json_int(out, v);
+}
 
 }  // namespace
 
-void append_inputs_json(std::ostream& os, const core::RatInputs& in) {
-  os << "{\"name\":" << json_str(in.name)
-     << ",\"elements_in\":" << in.dataset.elements_in
-     << ",\"elements_out\":" << in.dataset.elements_out
-     << ",\"bytes_per_element\":" << num(in.dataset.bytes_per_element)
-     << ",\"ideal_bw_bytes_per_sec\":" << num(in.comm.ideal_bw_bytes_per_sec)
-     << ",\"alpha_write\":" << num(in.comm.alpha_write)
-     << ",\"alpha_read\":" << num(in.comm.alpha_read)
-     << ",\"ops_per_element\":" << num(in.comp.ops_per_element)
-     << ",\"throughput_ops_per_cycle\":"
-     << num(in.comp.throughput_ops_per_cycle) << ",\"fclock_hz\":[";
+void append_inputs_json(std::string& out, const core::RatInputs& in) {
+  out += "{\"name\":";
+  append_json_str(out, in.name);
+  field(out, ",\"elements_in\":", in.dataset.elements_in);
+  field(out, ",\"elements_out\":", in.dataset.elements_out);
+  field(out, ",\"bytes_per_element\":", in.dataset.bytes_per_element);
+  field(out, ",\"ideal_bw_bytes_per_sec\":", in.comm.ideal_bw_bytes_per_sec);
+  field(out, ",\"alpha_write\":", in.comm.alpha_write);
+  field(out, ",\"alpha_read\":", in.comm.alpha_read);
+  field(out, ",\"ops_per_element\":", in.comp.ops_per_element);
+  field(out, ",\"throughput_ops_per_cycle\":",
+        in.comp.throughput_ops_per_cycle);
+  out += ",\"fclock_hz\":[";
   for (std::size_t i = 0; i < in.comp.fclock_hz.size(); ++i) {
-    if (i) os << ',';
-    os << num(in.comp.fclock_hz[i]);
+    if (i) out += ',';
+    append_json_number(out, in.comp.fclock_hz[i]);
   }
-  os << "],\"tsoft_sec\":" << num(in.software.tsoft_sec)
-     << ",\"n_iterations\":" << in.software.n_iterations << '}';
+  field(out, "],\"tsoft_sec\":", in.software.tsoft_sec);
+  field(out, ",\"n_iterations\":", in.software.n_iterations);
+  out += '}';
 }
 
-void append_prediction_json(std::ostream& os,
+void append_prediction_json(std::string& out,
                             const core::ThroughputPrediction& p) {
-  os << "{\"fclock_hz\":" << num(p.fclock_hz)
-     << ",\"t_write_sec\":" << num(p.t_write_sec)
-     << ",\"t_read_sec\":" << num(p.t_read_sec)
-     << ",\"t_comm_sec\":" << num(p.t_comm_sec)
-     << ",\"t_comp_sec\":" << num(p.t_comp_sec)
-     << ",\"t_rc_sb_sec\":" << num(p.t_rc_sb_sec)
-     << ",\"t_rc_db_sec\":" << num(p.t_rc_db_sec)
-     << ",\"speedup_sb\":" << num(p.speedup_sb)
-     << ",\"speedup_db\":" << num(p.speedup_db)
-     << ",\"util_comp_sb\":" << num(p.util_comp_sb)
-     << ",\"util_comm_sb\":" << num(p.util_comm_sb)
-     << ",\"util_comp_db\":" << num(p.util_comp_db)
-     << ",\"util_comm_db\":" << num(p.util_comm_db) << '}';
+  field(out, "{\"fclock_hz\":", p.fclock_hz);
+  field(out, ",\"t_write_sec\":", p.t_write_sec);
+  field(out, ",\"t_read_sec\":", p.t_read_sec);
+  field(out, ",\"t_comm_sec\":", p.t_comm_sec);
+  field(out, ",\"t_comp_sec\":", p.t_comp_sec);
+  field(out, ",\"t_rc_sb_sec\":", p.t_rc_sb_sec);
+  field(out, ",\"t_rc_db_sec\":", p.t_rc_db_sec);
+  field(out, ",\"speedup_sb\":", p.speedup_sb);
+  field(out, ",\"speedup_db\":", p.speedup_db);
+  field(out, ",\"util_comp_sb\":", p.util_comp_sb);
+  field(out, ",\"util_comm_sb\":", p.util_comm_sb);
+  field(out, ",\"util_comp_db\":", p.util_comp_db);
+  field(out, ",\"util_comm_db\":", p.util_comm_db);
+  out += '}';
 }
 
 std::string encode_predictions(
@@ -116,13 +128,20 @@ std::vector<core::ThroughputPrediction> decode_predictions(
   return out;
 }
 
-void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d) {
-  os << "{\"file\":" << json_str(d.file) << ",\"line\":" << d.line
-     << ",\"column\":" << d.column
-     << ",\"code\":" << json_str(core::error_code_name(d.code))
-     << ",\"key\":" << json_str(d.key)
-     << ",\"message\":" << json_str(d.message)
-     << ",\"rendered\":" << json_str(d.to_string()) << '}';
+void append_diagnostic_json(std::string& out, const core::Diagnostic& d) {
+  out += "{\"file\":";
+  append_json_str(out, d.file);
+  field(out, ",\"line\":", d.line);
+  field(out, ",\"column\":", d.column);
+  out += ",\"code\":";
+  append_json_str(out, core::error_code_name(d.code));
+  out += ",\"key\":";
+  append_json_str(out, d.key);
+  out += ",\"message\":";
+  append_json_str(out, d.message);
+  out += ",\"rendered\":";
+  append_json_str(out, d.to_string());
+  out += '}';
 }
 
 namespace {
@@ -286,32 +305,34 @@ BatchResult run_batch_dir(const std::filesystem::path& dir,
 }
 
 std::string batch_json(const BatchResult& result) {
-  std::ostringstream os;
-  os << "{\"schema\":\"rat.batch.v1\",\"n_worksheets\":"
-     << result.entries.size() << ",\"n_ok\":" << result.n_ok
-     << ",\"n_failed\":" << result.n_failed << ",\"worksheets\":[";
+  std::string out = "{\"schema\":\"rat.batch.v1\"";
+  field(out, ",\"n_worksheets\":", result.entries.size());
+  field(out, ",\"n_ok\":", result.n_ok);
+  field(out, ",\"n_failed\":", result.n_failed);
+  out += ",\"worksheets\":[";
   for (std::size_t i = 0; i < result.entries.size(); ++i) {
     const BatchEntry& e = result.entries[i];
-    if (i) os << ',';
-    os << "{\"file\":" << json_str(e.load.path.string()) << ",\"status\":\""
-       << (e.ok() ? "ok" : "error") << '"';
+    if (i) out += ',';
+    out += "{\"file\":";
+    append_json_str(out, e.load.path.string());
+    out += e.ok() ? ",\"status\":\"ok\"" : ",\"status\":\"error\"";
     if (e.ok()) {
-      os << ",\"inputs\":";
-      append_inputs_json(os, *e.load.inputs);
-      os << ",\"predictions\":[";
+      out += ",\"inputs\":";
+      append_inputs_json(out, *e.load.inputs);
+      out += ",\"predictions\":[";
       for (std::size_t j = 0; j < e.predictions.size(); ++j) {
-        if (j) os << ',';
-        append_prediction_json(os, e.predictions[j]);
+        if (j) out += ',';
+        append_prediction_json(out, e.predictions[j]);
       }
-      os << ']';
+      out += ']';
     } else {
-      os << ",\"diagnostic\":";
-      append_diagnostic_json(os, *e.load.diagnostic);
+      out += ",\"diagnostic\":";
+      append_diagnostic_json(out, *e.load.diagnostic);
     }
-    os << '}';
+    out += '}';
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string batch_csv(const BatchResult& result) {
@@ -336,18 +357,21 @@ std::string batch_csv(const BatchResult& result) {
       t.add_row({e.load.path.string(), "ok", in.name,
                  std::to_string(in.dataset.elements_in),
                  std::to_string(in.dataset.elements_out),
-                 num(in.dataset.bytes_per_element),
-                 num(in.comm.ideal_bw_bytes_per_sec),
-                 num(in.comm.alpha_write), num(in.comm.alpha_read),
-                 num(in.comp.ops_per_element),
-                 num(in.comp.throughput_ops_per_cycle),
-                 num(in.software.tsoft_sec),
-                 std::to_string(in.software.n_iterations), num(p.fclock_hz),
-                 num(p.t_write_sec), num(p.t_read_sec), num(p.t_comm_sec),
-                 num(p.t_comp_sec), num(p.t_rc_sb_sec), num(p.t_rc_db_sec),
-                 num(p.speedup_sb), num(p.speedup_db), num(p.util_comm_sb),
-                 num(p.util_comp_sb), num(p.util_comm_db),
-                 num(p.util_comp_db), ""});
+                 json_number(in.dataset.bytes_per_element),
+                 json_number(in.comm.ideal_bw_bytes_per_sec),
+                 json_number(in.comm.alpha_write),
+                 json_number(in.comm.alpha_read),
+                 json_number(in.comp.ops_per_element),
+                 json_number(in.comp.throughput_ops_per_cycle),
+                 json_number(in.software.tsoft_sec),
+                 std::to_string(in.software.n_iterations),
+                 json_number(p.fclock_hz), json_number(p.t_write_sec),
+                 json_number(p.t_read_sec), json_number(p.t_comm_sec),
+                 json_number(p.t_comp_sec), json_number(p.t_rc_sb_sec),
+                 json_number(p.t_rc_db_sec), json_number(p.speedup_sb),
+                 json_number(p.speedup_db), json_number(p.util_comm_sb),
+                 json_number(p.util_comp_sb), json_number(p.util_comm_db),
+                 json_number(p.util_comp_db), ""});
     }
   }
   return t.to_csv();

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <filesystem>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,11 +88,12 @@ std::string batch_csv(const BatchResult& result);
 
 /// The shared JSON fragment renderers behind batch_json, public so the
 /// prediction service emits byte-identical inputs / prediction /
-/// diagnostic payloads (numbers via io::json_number round-trip exactly).
-void append_inputs_json(std::ostream& os, const core::RatInputs& inputs);
-void append_prediction_json(std::ostream& os,
+/// diagnostic payloads (numbers via io::append_json_number round-trip
+/// exactly). Each appends to @p out.
+void append_inputs_json(std::string& out, const core::RatInputs& inputs);
+void append_prediction_json(std::string& out,
                             const core::ThroughputPrediction& prediction);
-void append_diagnostic_json(std::ostream& os, const core::Diagnostic& d);
+void append_diagnostic_json(std::string& out, const core::Diagnostic& d);
 
 /// rat.store.v1 predictions payload: u32 count, then 13 f64 bit patterns
 /// per prediction in declaration order. Exact IEEE-754 round-trip — the

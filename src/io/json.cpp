@@ -2,47 +2,74 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace rat::io {
 
-std::string json_number(double x) {
-  char buf[64];
+void append_json_number(std::string& out, double x) {
+  // C++17 specifies to_chars with a precision as printf("%.*g"), so this
+  // is the historical snprintf/sscanf loop's output, without the locale
+  // and format-string parsing on every attempt.
+  char buf[32];
+  char* end = buf;
   for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, x);
+    end = std::to_chars(buf, buf + sizeof buf, x, std::chars_format::general,
+                        prec)
+              .ptr;
     double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
+    std::from_chars(buf, end, back);
     if (back == x) break;
   }
-  return buf;
+  out.append(buf, end);
 }
 
-std::string json_escape(std::string_view s) {
+std::string json_number(double x) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (char ch : s) {
+  append_json_number(out, x);
+  return out;
+}
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char ch = static_cast<unsigned char>(s[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[ch >> 4], kHex[ch & 15]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s, run, std::string_view::npos);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_escaped(out, s);
   return out;
 }
 
+void append_json_str(std::string& out, std::string_view s) {
+  out += '"';
+  append_json_escaped(out, s);
+  out += '"';
+}
+
 std::string json_str(std::string_view s) {
-  return '"' + json_escape(s) + '"';
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_str(out, s);
+  return out;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -58,6 +60,18 @@ inline int accept_nonblock_cloexec(int listen_fd) {
   }
   return fd;
 #endif
+}
+
+/// Options for a freshly accepted client socket. TCP_NODELAY always:
+/// every response is one small write that the client is waiting for, and
+/// with Nagle on, a write issued while an earlier segment is still
+/// unacknowledged sits in the kernel until the client's delayed ACK
+/// fires. SO_SNDBUF only when @p so_sndbuf > 0 (0 = OS default).
+inline void configure_accepted_socket(int fd, int so_sndbuf) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  if (so_sndbuf > 0)
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &so_sndbuf, sizeof so_sndbuf);
 }
 
 /// Process-wide SIG_IGN for SIGPIPE (see file comment). Idempotent;

@@ -1,37 +1,51 @@
 #include "svc/fingerprint.hpp"
 
 #include <cstdio>
-#include <sstream>
 
 #include "io/json.hpp"
 
 namespace rat::svc {
 
+namespace {
+
+/// Appends `key` then @p x and the line break (`key` carries its `=`).
+void line(std::string& out, std::string_view key, double x) {
+  out += key;
+  io::append_json_number(out, x);
+  out += '\n';
+}
+
+void line(std::string& out, std::string_view key, std::size_t v) {
+  out += key;
+  io::append_json_int(out, v);
+  out += '\n';
+}
+
+}  // namespace
+
 std::string canonical_text(const core::RatInputs& in) {
-  std::ostringstream os;
-  os << "rat.fp.v1\n";
-  os << "name=" << in.name << '\n';
-  os << "elements_in=" << in.dataset.elements_in << '\n';
-  os << "elements_out=" << in.dataset.elements_out << '\n';
-  os << "bytes_per_element=" << io::json_number(in.dataset.bytes_per_element)
-     << '\n';
-  os << "ideal_bw_bytes_per_sec="
-     << io::json_number(in.comm.ideal_bw_bytes_per_sec) << '\n';
-  os << "alpha_write=" << io::json_number(in.comm.alpha_write) << '\n';
-  os << "alpha_read=" << io::json_number(in.comm.alpha_read) << '\n';
-  os << "ops_per_element=" << io::json_number(in.comp.ops_per_element)
-     << '\n';
-  os << "throughput_ops_per_cycle="
-     << io::json_number(in.comp.throughput_ops_per_cycle) << '\n';
-  os << "fclock_hz=";
+  std::string out;
+  out.reserve(320 + in.name.size() + 24 * in.comp.fclock_hz.size());
+  out += "rat.fp.v1\nname=";
+  out += in.name;
+  out += '\n';
+  line(out, "elements_in=", in.dataset.elements_in);
+  line(out, "elements_out=", in.dataset.elements_out);
+  line(out, "bytes_per_element=", in.dataset.bytes_per_element);
+  line(out, "ideal_bw_bytes_per_sec=", in.comm.ideal_bw_bytes_per_sec);
+  line(out, "alpha_write=", in.comm.alpha_write);
+  line(out, "alpha_read=", in.comm.alpha_read);
+  line(out, "ops_per_element=", in.comp.ops_per_element);
+  line(out, "throughput_ops_per_cycle=", in.comp.throughput_ops_per_cycle);
+  out += "fclock_hz=";
   for (std::size_t i = 0; i < in.comp.fclock_hz.size(); ++i) {
-    if (i) os << ',';
-    os << io::json_number(in.comp.fclock_hz[i]);
+    if (i) out += ',';
+    io::append_json_number(out, in.comp.fclock_hz[i]);
   }
-  os << '\n';
-  os << "tsoft_sec=" << io::json_number(in.software.tsoft_sec) << '\n';
-  os << "n_iterations=" << in.software.n_iterations << '\n';
-  return os.str();
+  out += '\n';
+  line(out, "tsoft_sec=", in.software.tsoft_sec);
+  line(out, "n_iterations=", in.software.n_iterations);
+  return out;
 }
 
 std::uint64_t fnv1a64(const std::string& text) {

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "io/batch.hpp"
 #include "io/json.hpp"
@@ -9,26 +8,21 @@
 
 namespace rat::svc {
 
-namespace {
-
-/// "id":"..." or "id":null — empty ids render as null so a response to an
-/// unparseable request is still well-formed.
-void append_id(std::ostream& os, const std::string& id) {
-  os << "\"id\":";
+void append_response_head(std::string& out, const std::string& id,
+                          const char* status) {
+  out += "{\"schema\":\"";
+  out += kProtocolSchema;
+  // Empty ids render as null so a response to an unparseable request is
+  // still well-formed.
+  out += "\",\"id\":";
   if (id.empty())
-    os << "null";
+    out += "null";
   else
-    os << io::json_str(id);
+    io::append_json_str(out, id);
+  out += ",\"status\":\"";
+  out += status;
+  out += '"';
 }
-
-void append_head(std::ostream& os, const std::string& id,
-                 const char* status) {
-  os << "{\"schema\":\"" << kProtocolSchema << "\",";
-  append_id(os, id);
-  os << ",\"status\":\"" << status << '"';
-}
-
-}  // namespace
 
 Request parse_request(const std::string& line) {
   io::JsonValue doc;
@@ -108,63 +102,72 @@ Request parse_request(const std::string& line) {
 std::string evaluate_response(
     const std::string& id, std::uint64_t fp, const core::RatInputs& inputs,
     const std::vector<core::ThroughputPrediction>& predictions) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"evaluate\",\"fingerprint\":\"" << fingerprint_hex(fp)
-     << "\",\"inputs\":";
-  io::append_inputs_json(os, inputs);
-  os << ",\"predictions\":[";
+  // Head and inputs take ~500 bytes and each prediction ~480: one
+  // allocation covers the whole line.
+  std::string out;
+  out.reserve(512 + id.size() + inputs.name.size() + 512 * predictions.size());
+  append_response_head(out, id, "ok");
+  out += ",\"op\":\"evaluate\",\"fingerprint\":\"";
+  out += fingerprint_hex(fp);
+  out += "\",\"inputs\":";
+  io::append_inputs_json(out, inputs);
+  out += ",\"predictions\":[";
   for (std::size_t i = 0; i < predictions.size(); ++i) {
-    if (i) os << ',';
-    io::append_prediction_json(os, predictions[i]);
+    if (i) out += ',';
+    io::append_prediction_json(out, predictions[i]);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::string error_response(const std::string& id, SvcErrorCode code,
                            const std::string& message) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\"" << svc_error_code_name(code)
-     << "\",\"message\":" << io::json_str(message) << "}}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"";
+  out += svc_error_code_name(code);
+  out += "\",\"message\":";
+  io::append_json_str(out, message);
+  out += "}}";
+  return out;
 }
 
 std::string diagnostic_response(const std::string& id,
                                 const core::Diagnostic& diagnostic) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\""
-     << core::error_code_name(diagnostic.code)
-     << "\",\"message\":" << io::json_str(diagnostic.message)
-     << ",\"diagnostic\":";
-  io::append_diagnostic_json(os, diagnostic);
-  os << "}}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"";
+  out += core::error_code_name(diagnostic.code);
+  out += "\",\"message\":";
+  io::append_json_str(out, diagnostic.message);
+  out += ",\"diagnostic\":";
+  io::append_diagnostic_json(out, diagnostic);
+  out += "}}";
+  return out;
 }
 
 std::string internal_error_response(const std::string& id,
                                     const std::string& message) {
-  std::ostringstream os;
-  append_head(os, id, "error");
-  os << ",\"error\":{\"code\":\"E_INTERNAL\",\"message\":"
-     << io::json_str(message) << "}}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "error");
+  out += ",\"error\":{\"code\":\"E_INTERNAL\",\"message\":";
+  io::append_json_str(out, message);
+  out += "}}";
+  return out;
 }
 
 std::string pong_response(const std::string& id) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"ping\"}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "ok");
+  out += ",\"op\":\"ping\"}";
+  return out;
 }
 
 std::string shutdown_response(const std::string& id) {
-  std::ostringstream os;
-  append_head(os, id, "ok");
-  os << ",\"op\":\"shutdown\",\"draining\":true}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "ok");
+  out += ",\"op\":\"shutdown\",\"draining\":true}";
+  return out;
 }
 
 }  // namespace rat::svc

@@ -87,6 +87,13 @@ Request parse_request(const std::string& line);
 
 // ---- Response rendering (one line, no trailing newline) ----
 
+/// Appends the head every response starts with:
+/// {"schema":"rat.svc.v1","id":...,"status":"<status>"
+/// An empty id renders as null. The stats renderers in service.cpp and
+/// router.cpp continue from here.
+void append_response_head(std::string& out, const std::string& id,
+                          const char* status);
+
 /// {"schema":...,"id":...,"status":"ok","op":"evaluate","fingerprint":...,
 ///  "inputs":{...},"predictions":[...]}
 std::string evaluate_response(

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <system_error>
 
 #include "core/parameters.hpp"
@@ -67,23 +66,33 @@ std::uint64_t route_fingerprint(const Request& req) {
 }
 
 std::string encode_forward(const std::string& token, const Request& req) {
-  std::ostringstream os;
-  os << "{\"id\":" << io::json_str(token) << ",\"op\":\"";
+  std::string out;
+  // The worksheet text dominates; escapes add a few bytes per line.
+  out.reserve(96 + token.size() + req.worksheet.size() +
+              req.worksheet.size() / 8 + req.file.size());
+  out += "{\"id\":";
+  io::append_json_str(out, token);
   switch (req.op) {
-    case Request::Op::kEvaluate: os << "evaluate"; break;
-    case Request::Op::kPing: os << "ping"; break;
-    case Request::Op::kStats: os << "stats"; break;
-    case Request::Op::kShutdown: os << "shutdown"; break;
+    case Request::Op::kEvaluate: out += ",\"op\":\"evaluate\""; break;
+    case Request::Op::kPing: out += ",\"op\":\"ping\""; break;
+    case Request::Op::kStats: out += ",\"op\":\"stats\""; break;
+    case Request::Op::kShutdown: out += ",\"op\":\"shutdown\""; break;
   }
-  os << '"';
-  if (req.has_worksheet)
-    os << ",\"worksheet\":" << io::json_str(req.worksheet);
-  if (req.has_file) os << ",\"file\":" << io::json_str(req.file);
-  if (req.deadline_ms > 0.0)
-    os << ",\"deadline_ms\":" << io::json_number(req.deadline_ms);
-  if (req.no_cache) os << ",\"no_cache\":true";
-  os << '}';
-  return os.str();
+  if (req.has_worksheet) {
+    out += ",\"worksheet\":";
+    io::append_json_str(out, req.worksheet);
+  }
+  if (req.has_file) {
+    out += ",\"file\":";
+    io::append_json_str(out, req.file);
+  }
+  if (req.deadline_ms > 0.0) {
+    out += ",\"deadline_ms\":";
+    io::append_json_number(out, req.deadline_ms);
+  }
+  if (req.no_cache) out += ",\"no_cache\":true";
+  out += '}';
+  return out;
 }
 
 std::string response_token(const std::string& line) {
@@ -100,16 +109,16 @@ std::string restore_response_id(const std::string& line,
                                 const std::string& orig_id) {
   const std::string& head = response_head_prefix();
   const std::size_t end = line.find('"', head.size());
-  // Everything before the id value is append_head's fixed text, so the
-  // splice reproduces a direct server's bytes exactly: ids render via
-  // the same io::json_str, empty ids as null.
+  // Everything before the id value is append_response_head's fixed text,
+  // so the splice reproduces a direct server's bytes exactly: ids render
+  // via the same io::append_json_str, empty ids as null.
   std::string out;
   out.reserve(line.size() + orig_id.size());
   out.append(head, 0, head.size() - 1);  // drop the opening quote
   if (orig_id.empty())
     out += "null";
   else
-    out += io::json_str(orig_id);
+    io::append_json_str(out, orig_id);
   out.append(line, end + 1, std::string::npos);
   return out;
 }
@@ -623,9 +632,7 @@ void Router::do_accept() {
       }
       return;  // EAGAIN: everything pending was accepted
     }
-    if (config_.so_sndbuf > 0)
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.so_sndbuf,
-                   sizeof config_.so_sndbuf);
+    configure_accepted_socket(fd, config_.so_sndbuf);
     connections_.fetch_add(1, std::memory_order_relaxed);
     obs_count("svc.router.connections");
     auto conn = std::make_shared<Conn>();
@@ -847,45 +854,48 @@ void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
   ResultCache::Stats cs;
   cs.hits = f.hits;
   cs.misses = f.misses;
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kProtocolSchema << "\",\"id\":";
-  if (f.orig_id.empty())
-    os << "null";
-  else
-    os << io::json_str(f.orig_id);
+  std::string out;
+  append_response_head(out, f.orig_id, "ok");
+  auto field = [&out](std::string_view key, std::uint64_t v) {
+    out += key;
+    io::append_json_int(out, v);
+  };
   // The "stats" object sums the workers' counters in the worker key
   // order; "router" carries the front-end's own.
-  os << ",\"status\":\"ok\",\"op\":\"stats\",\"stats\":{"
-     << "\"requests\":" << f.requests
-     << ",\"responses_ok\":" << f.responses_ok
-     << ",\"responses_error\":" << f.responses_error
-     << ",\"rejected_overloaded\":" << f.rejected_overloaded
-     << ",\"rejected_draining\":" << f.rejected_draining
-     << ",\"deadline_expired\":" << f.deadline_expired
-     << ",\"in_flight\":" << f.in_flight << ",\"cache\":{"
-     << "\"hits\":" << f.hits << ",\"misses\":" << f.misses
-     << ",\"evictions\":" << f.evictions << ",\"size\":" << f.size
-     << ",\"bytes\":" << f.bytes << ",\"capacity\":" << f.capacity
-     << ",\"hit_ratio\":" << io::json_number(hit_ratio(cs))
-     << ",\"warmed\":" << f.warmed << "}}"
-     << ",\"router\":{\"workers\":" << config_.n_workers
-     << ",\"alive\":" << alive
-     << ",\"connections\":" << connections_.load(std::memory_order_relaxed)
-     << ",\"requests\":" << requests_.load(std::memory_order_relaxed)
-     << ",\"forwarded\":" << forwarded_.load(std::memory_order_relaxed)
-     << ",\"rerouted\":" << rerouted_.load(std::memory_order_relaxed)
-     << ",\"worker_deaths\":"
-     << worker_deaths_.load(std::memory_order_relaxed)
-     << ",\"respawns\":" << respawns_.load(std::memory_order_relaxed)
-     << ",\"overloaded_local\":"
-     << overloaded_local_.load(std::memory_order_relaxed)
-     << ",\"slow_clients_dropped\":"
-     << slow_clients_dropped_.load(std::memory_order_relaxed)
-     << ",\"responses_dropped\":"
-     << responses_dropped_.load(std::memory_order_relaxed)
-     << ",\"accept_failures\":"
-     << accept_failures_.load(std::memory_order_relaxed) << "}}";
-  respond_client(f.conn, os.str());
+  field(",\"op\":\"stats\",\"stats\":{\"requests\":", f.requests);
+  field(",\"responses_ok\":", f.responses_ok);
+  field(",\"responses_error\":", f.responses_error);
+  field(",\"rejected_overloaded\":", f.rejected_overloaded);
+  field(",\"rejected_draining\":", f.rejected_draining);
+  field(",\"deadline_expired\":", f.deadline_expired);
+  field(",\"in_flight\":", f.in_flight);
+  field(",\"cache\":{\"hits\":", f.hits);
+  field(",\"misses\":", f.misses);
+  field(",\"evictions\":", f.evictions);
+  field(",\"size\":", f.size);
+  field(",\"bytes\":", f.bytes);
+  field(",\"capacity\":", f.capacity);
+  out += ",\"hit_ratio\":";
+  io::append_json_number(out, hit_ratio(cs));
+  field(",\"warmed\":", f.warmed);
+  field("}},\"router\":{\"workers\":", config_.n_workers);
+  field(",\"alive\":", alive);
+  auto counter = [&field](std::string_view key,
+                          const std::atomic<std::uint64_t>& c) {
+    field(key, c.load(std::memory_order_relaxed));
+  };
+  counter(",\"connections\":", connections_);
+  counter(",\"requests\":", requests_);
+  counter(",\"forwarded\":", forwarded_);
+  counter(",\"rerouted\":", rerouted_);
+  counter(",\"worker_deaths\":", worker_deaths_);
+  counter(",\"respawns\":", respawns_);
+  counter(",\"overloaded_local\":", overloaded_local_);
+  counter(",\"slow_clients_dropped\":", slow_clients_dropped_);
+  counter(",\"responses_dropped\":", responses_dropped_);
+  counter(",\"accept_failures\":", accept_failures_);
+  out += "}}";
+  respond_client(f.conn, out);
 }
 
 void Router::respond_client(const std::shared_ptr<Conn>& conn,

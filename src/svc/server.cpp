@@ -340,9 +340,7 @@ void Server::do_accept() {
       }
       return;  // EAGAIN: everything pending was accepted
     }
-    if (config_.so_sndbuf > 0)
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &config_.so_sndbuf,
-                   sizeof config_.so_sndbuf);
+    configure_accepted_socket(fd, config_.so_sndbuf);
     connections_.fetch_add(1, std::memory_order_relaxed);
     obs_count("svc.server.connections");
     auto conn = std::make_shared<Connection>();

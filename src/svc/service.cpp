@@ -1,7 +1,6 @@
 #include "svc/service.hpp"
 
 #include <exception>
-#include <sstream>
 #include <utility>
 
 #include "io/json.hpp"
@@ -261,28 +260,30 @@ Service::Stats Service::stats() const {
 
 std::string Service::stats_response(const std::string& id) const {
   const Stats st = stats();
-  std::ostringstream os;
-  os << "{\"schema\":\"" << kProtocolSchema << "\",\"id\":";
-  if (id.empty())
-    os << "null";
-  else
-    os << io::json_str(id);
-  os << ",\"status\":\"ok\",\"op\":\"stats\",\"stats\":{"
-     << "\"requests\":" << st.requests
-     << ",\"responses_ok\":" << st.responses_ok
-     << ",\"responses_error\":" << st.responses_error
-     << ",\"rejected_overloaded\":" << st.rejected_overloaded
-     << ",\"rejected_draining\":" << st.rejected_draining
-     << ",\"deadline_expired\":" << st.deadline_expired
-     << ",\"in_flight\":" << st.in_flight << ",\"cache\":{"
-     << "\"hits\":" << st.cache.hits << ",\"misses\":" << st.cache.misses
-     << ",\"evictions\":" << st.cache.evictions
-     << ",\"size\":" << st.cache.size
-     << ",\"bytes\":" << st.cache.bytes
-     << ",\"capacity\":" << cache_.capacity()
-     << ",\"hit_ratio\":" << io::json_number(hit_ratio(st.cache))
-     << ",\"warmed\":" << st.cache_warmed << "}}}";
-  return os.str();
+  std::string out;
+  append_response_head(out, id, "ok");
+  auto field = [&out](std::string_view key, std::uint64_t v) {
+    out += key;
+    io::append_json_int(out, v);
+  };
+  field(",\"op\":\"stats\",\"stats\":{\"requests\":", st.requests);
+  field(",\"responses_ok\":", st.responses_ok);
+  field(",\"responses_error\":", st.responses_error);
+  field(",\"rejected_overloaded\":", st.rejected_overloaded);
+  field(",\"rejected_draining\":", st.rejected_draining);
+  field(",\"deadline_expired\":", st.deadline_expired);
+  field(",\"in_flight\":", st.in_flight);
+  field(",\"cache\":{\"hits\":", st.cache.hits);
+  field(",\"misses\":", st.cache.misses);
+  field(",\"evictions\":", st.cache.evictions);
+  field(",\"size\":", st.cache.size);
+  field(",\"bytes\":", st.cache.bytes);
+  field(",\"capacity\":", cache_.capacity());
+  out += ",\"hit_ratio\":";
+  io::append_json_number(out, hit_ratio(st.cache));
+  field(",\"warmed\":", st.cache_warmed);
+  out += "}}}";
+  return out;
 }
 
 }  // namespace rat::svc

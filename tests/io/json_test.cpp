@@ -1,12 +1,18 @@
-// The shared JSON layer: shortest round-trip number rendering, string
-// escaping, and the strict recursive-descent parser behind the service
-// protocol.
+// The shared JSON layer: round-trip number rendering (checked byte for
+// byte against the printf/scanf formatter it replaced), string escaping,
+// and the strict recursive-descent parser behind the service protocol.
 #include "io/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
 
 namespace rat::io {
@@ -30,12 +36,91 @@ TEST(Json, NumberIsShortestRoundTrip) {
   }
 }
 
+/// The original json_number, kept as the reference spelling: the fewest
+/// of 15/16/17 "%g" significant digits that sscanf reads back exactly.
+std::string reference_json_number(double x) {
+  char buf[64];
+  for (int prec = 15; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, x);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == x) break;
+  }
+  return buf;
+}
+
+::testing::AssertionResult matches_reference(double x) {
+  const std::string got = json_number(x);
+  const std::string want = reference_json_number(x);
+  std::string appended = "prefix:";
+  append_json_number(appended, x);
+  if (got == want && appended == "prefix:" + want)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(x)
+         << ": json_number \"" << got << "\", append \"" << appended
+         << "\", reference \"" << want << "\"";
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnRandomBitPatterns) {
+  // Every exponent, sign and mantissa shape, NaN payloads and
+  // subnormals included.
+  std::mt19937_64 rng(0x5241547631ull);
+  for (int i = 0; i < 1'000'000; ++i)
+    ASSERT_TRUE(matches_reference(std::bit_cast<double>(rng())));
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnDecimalScaledValues) {
+  // Values written as short decimals (0.37, 75e6, 1.39e-4): what
+  // worksheets and responses actually carry. Each is the double nearest
+  // m * 10^e for a random 1- to 17-digit mantissa m.
+  std::mt19937_64 rng(0x52415432ull);
+  char text[48];
+  for (int e = -20; e <= 20; ++e) {
+    for (int i = 0; i < 5000; ++i) {
+      const int digits = 1 + static_cast<int>(rng() % 17);
+      std::uint64_t m = rng() % 100'000'000'000'000'000ull;
+      for (int d = digits; d < 17; ++d) m /= 10;
+      std::snprintf(text, sizeof text, "%s%llue%d", (i & 1) ? "-" : "",
+                    static_cast<unsigned long long>(m), e);
+      const double x = std::strtod(text, nullptr);
+      ASSERT_TRUE(matches_reference(x)) << text;
+    }
+  }
+}
+
+TEST(JsonNumber, MatchesPrintfReferenceOnEdgeValues) {
+  using lim = std::numeric_limits<double>;
+  for (double x : {0.0, -0.0, lim::denorm_min(), -lim::denorm_min(),
+                   lim::min(), lim::max(), lim::lowest(), 1e15, 1e16, 1e17,
+                   1e21, -1e21, 9007199254740993.0, 0.1, 1.0 / 3.0,
+                   lim::infinity(), -lim::infinity(), lim::quiet_NaN()})
+    EXPECT_TRUE(matches_reference(x));
+  EXPECT_EQ(json_number(-0.0), "-0");
+  EXPECT_EQ(json_number(1e21), "1e+21");
+  EXPECT_EQ(json_number(lim::infinity()), "inf");
+  EXPECT_EQ(json_number(lim::quiet_NaN()), "nan");
+}
+
+TEST(JsonNumber, FifteenDigitsWinEvenWhenNotTheShortestSpelling) {
+  // 15 digits round-trip here, so they are used although the integer
+  // spelling "53165205877497296" is three characters shorter: the output
+  // is the historical wire format, not the shortest string.
+  EXPECT_EQ(json_number(53165205877497296.0), "5.31652058774973e+16");
+}
+
 TEST(Json, EscapeCoversQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("plain"), "plain");
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("tab\there"), "tab\\there");
   EXPECT_EQ(json_escape(std::string("nul\0byte", 8)), "nul\\u0000byte");
+  EXPECT_EQ(json_escape("\x1f\x7f\xc3\xa9"), "\\u001f\x7f\xc3\xa9");
   EXPECT_EQ(json_str("x\ny"), "\"x\\ny\"");
+  std::string out = "[";
+  append_json_str(out, "a\"b");
+  out += ',';
+  append_json_escaped(out, "\r");
+  EXPECT_EQ(out, "[\"a\\\"b\",\\r");
 }
 
 TEST(JsonParse, ScalarsAndContainers) {

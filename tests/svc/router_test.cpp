@@ -32,6 +32,7 @@
 #include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
 #include "svc/service.hpp"
+#include "socket_probe.hpp"
 
 namespace rat::svc {
 namespace {
@@ -262,6 +263,21 @@ TEST(SvcRouter, PingFansOutAndAnswersWithDirectBytes) {
   const auto line = client.read_line();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, pong_response("p"));  // aggregation leaves no trace
+  router.trigger_stop();
+  router.run();
+}
+
+TEST(SvcRouter, AcceptedClientSocketsTurnNagleOff) {
+  // Same policy as the server: responses are small writes a client is
+  // waiting on, so Nagle must not hold them for a delayed ACK.
+  Router router(worker_fleet(1));
+  router.start();
+  Client client(router.port());
+  client.send_line("{\"id\":\"n\",\"op\":\"ping\"}");
+  ASSERT_TRUE(client.read_line().has_value());  // accepted by now
+  const std::vector<int> fds = testing::accepted_sockets(router.port());
+  ASSERT_EQ(fds.size(), 1u);
+  EXPECT_EQ(testing::tcp_nodelay(fds[0]), 1);
   router.trigger_stop();
   router.run();
 }

@@ -28,6 +28,7 @@
 
 #include "core/parameters.hpp"
 #include "io/json.hpp"
+#include "socket_probe.hpp"
 
 namespace rat::svc {
 namespace {
@@ -537,6 +538,23 @@ TEST(SvcServer, ConfigurableBacklogStillAcceptsConnections) {
     ASSERT_TRUE(line.has_value());
     EXPECT_NE(line->find("\"status\":\"ok\""), std::string::npos);
   }
+  server.trigger_stop();
+  server.run();
+}
+
+TEST(SvcServer, AcceptedSocketsTurnNagleOff) {
+  // Every response is one small write the client waits for. With Nagle
+  // on, a response written while the previous one is still unacked sits
+  // in the kernel until the client's delayed ACK fires.
+  Service service;
+  Server server(service, {.port = 0});
+  server.start();
+  Client client(server.port());
+  client.send_line("{\"id\":\"n\",\"op\":\"ping\"}");
+  ASSERT_TRUE(client.read_line().has_value());  // accepted by now
+  const std::vector<int> fds = testing::accepted_sockets(server.port());
+  ASSERT_EQ(fds.size(), 1u);
+  EXPECT_EQ(testing::tcp_nodelay(fds[0]), 1);
   server.trigger_stop();
   server.run();
 }
