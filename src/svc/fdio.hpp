@@ -1,10 +1,12 @@
-// Shared file-descriptor plumbing for the svc transports (server.cpp's
-// readiness-driven event loop and router.cpp's worker-supervising one).
+// File-descriptor plumbing shared by the svc transports (the client
+// Frontend in svc/frontend.cpp, the Server's completion pipe, the
+// Router's worker pipes) and the rat_loadgen runner.
 //
-// Every fd the loops own must be non-blocking (the loops never block on
-// I/O, only on poll(2)) and close-on-exec (the router fork+execs worker
-// processes, and a leaked listen socket or pipe end in a child would
-// keep dead connections alive and break EOF-based death detection).
+// Every fd an event loop owns must be non-blocking (the loops never
+// block on I/O, only on poll(2)) and close-on-exec (the router fork+execs
+// worker processes, and a leaked listen socket or pipe end in a child
+// would keep dead connections alive and break EOF-based death
+// detection).
 //
 // ignore_sigpipe() is here because it is transport-owned policy, not
 // app-owned: any process that writes to pipes or sockets whose reader
@@ -15,10 +17,7 @@
 #pragma once
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 namespace rat::svc {
@@ -46,37 +45,9 @@ inline bool make_pipe_cloexec(int fds[2]) {
   return true;
 }
 
-/// accept4(SOCK_NONBLOCK | SOCK_CLOEXEC) with a portable fallback. The
-/// event loops require non-blocking fds from birth, and accepted sockets
-/// must not leak into exec'd children.
-inline int accept_nonblock_cloexec(int listen_fd) {
-#if defined(SOCK_NONBLOCK) && defined(SOCK_CLOEXEC)
-  return ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd >= 0) {
-    set_nonblock(fd);
-    set_cloexec(fd);
-  }
-  return fd;
-#endif
-}
-
-/// Options for a freshly accepted client socket. TCP_NODELAY always:
-/// every response is one small write that the client is waiting for, and
-/// with Nagle on, a write issued while an earlier segment is still
-/// unacknowledged sits in the kernel until the client's delayed ACK
-/// fires. SO_SNDBUF only when @p so_sndbuf > 0 (0 = OS default).
-inline void configure_accepted_socket(int fd, int so_sndbuf) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  if (so_sndbuf > 0)
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &so_sndbuf, sizeof so_sndbuf);
-}
-
 /// Process-wide SIG_IGN for SIGPIPE (see file comment). Idempotent;
-/// called by Server::start() and Router::start() so every transport is
-/// covered no matter which entry point spun it up.
+/// every Frontend installs it, so a Server and a Router are covered no
+/// matter which one spun up first.
 inline void ignore_sigpipe() {
   struct sigaction sa {};
   sa.sa_handler = SIG_IGN;

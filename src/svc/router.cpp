@@ -1,14 +1,11 @@
 #include "svc/router.hpp"
 
 #include <errno.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -125,22 +122,6 @@ std::string restore_response_id(const std::string& line,
 
 // ---- Internal structures ----
 
-/// One client connection; the mirror of Server::Connection, minus the
-/// stdio special case (the router is TCP-only — its own stdio is the
-/// operator's terminal, and its workers' stdio belongs to the router).
-struct Router::Conn {
-  int fd = -1;
-  bool read_shut = false;
-  bool close_when_idle = false;
-  bool dead = false;
-  std::size_t outstanding = 0;  ///< forwarded requests awaiting a response
-  std::string rbuf;
-  std::string wbuf;
-  std::size_t woff = 0;
-
-  std::size_t pending() const { return wbuf.size() - woff; }
-};
-
 /// One supervised worker process and its two pipe ends.
 struct Router::Worker {
   pid_t pid = -1;
@@ -151,16 +132,13 @@ struct Router::Worker {
   bool stdin_closed = false;  ///< drain: EOF sent, worker is exiting
   bool responded_since_spawn = false;
   int fast_deaths = 0;
-  std::string rbuf;
-  std::string wbuf;  ///< outbound request lines; [woff, size) unsent
-  std::size_t woff = 0;
-
-  std::size_t pending() const { return wbuf.size() - woff; }
+  LineReader in;   ///< response lines from the worker's stdout
+  WriteQueue out;  ///< request lines toward the worker's stdin
 };
 
 /// One forwarded request awaiting its worker response.
 struct Router::Pending {
-  std::shared_ptr<Conn> conn;
+  ConnPtr conn;
   std::string orig_id;
   std::size_t worker = 0;
   std::string fwd_line;  ///< token-bearing request (no newline), kept so
@@ -173,7 +151,7 @@ struct Router::Pending {
 /// fanouts (the drain-time stats sweep feeding --metrics) have no
 /// client connection; their aggregate goes to the obs registry instead.
 struct Router::Fanout {
-  std::shared_ptr<Conn> conn;  ///< null when internal
+  ConnPtr conn;  ///< null when internal
   std::string orig_id;
   Request::Op op = Request::Op::kPing;
   bool internal = false;
@@ -188,15 +166,13 @@ struct Router::Fanout {
 
 // ---- Lifecycle ----
 
-Router::Router(RouterConfig config) : config_(std::move(config)) {
+Router::Router(RouterConfig config)
+    : config_(std::move(config)),
+      frontend_(config_, "svc.router",
+                [this](const ConnPtr& conn, std::string line) {
+                  route_line(conn, std::move(line));
+                }) {
   if (config_.n_workers == 0) config_.n_workers = 1;
-  int fds[2];
-  if (!make_pipe_cloexec(fds)) throw_errno("svc::Router: pipe");
-  wake_r_ = fds[0];
-  wake_w_ = fds[1];
-  // Non-blocking write end: a signal handler must never block on a full
-  // pipe; one byte is enough to latch the stop request.
-  set_nonblock(wake_w_);
 }
 
 Router::~Router() {
@@ -205,24 +181,11 @@ Router::~Router() {
     trigger_stop();
     run();
   }
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  ::close(wake_r_);
-  ::close(wake_w_);
-}
-
-void Router::trigger_stop() {
-  const char byte = 's';
-  [[maybe_unused]] ssize_t n = ::write(wake_w_, &byte, 1);
 }
 
 void Router::start() {
   if (config_.worker_argv.empty())
     throw std::invalid_argument("svc::Router: worker_argv must not be empty");
-  // Router-owned for the same reason it is server-owned: a dead worker's
-  // stdin pipe must surface as EPIPE from write(2) (handled as a death,
-  // respawn + re-forward), never as a fatal SIGPIPE.
-  ignore_sigpipe();
-
   {
     std::lock_guard lock(pids_mu_);
     pids_.assign(config_.n_workers, -1);
@@ -233,34 +196,7 @@ void Router::start() {
   for (std::size_t i = 0; i < config_.n_workers; ++i)
     if (!spawn_worker(i)) throw_errno("svc::Router: spawn worker");
 
-#if defined(SOCK_NONBLOCK) && defined(SOCK_CLOEXEC)
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-#else
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ >= 0) {
-    set_nonblock(listen_fd_);
-    set_cloexec(listen_fd_);
-  }
-#endif
-  if (listen_fd_ < 0) throw_errno("svc::Router: socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0)
-    throw_errno("svc::Router: bind 127.0.0.1");
-  if (::listen(listen_fd_, config_.backlog > 0 ? config_.backlog : 1) != 0)
-    throw_errno("svc::Router: listen");
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0)
-    throw_errno("svc::Router: getsockname");
-  port_ = ntohs(addr.sin_port);
-
+  frontend_.listen();
   loop_thread_ = std::thread([this] { event_loop(); });
   started_ = true;
 }
@@ -272,17 +208,13 @@ void Router::run() {
 
 Router::Stats Router::stats() const {
   Stats st;
-  st.connections = connections_.load(std::memory_order_relaxed);
+  static_cast<TransportStats&>(st) = frontend_.stats();
   st.requests = requests_.load(std::memory_order_relaxed);
   st.forwarded = forwarded_.load(std::memory_order_relaxed);
   st.rerouted = rerouted_.load(std::memory_order_relaxed);
   st.worker_deaths = worker_deaths_.load(std::memory_order_relaxed);
   st.respawns = respawns_.load(std::memory_order_relaxed);
   st.overloaded_local = overloaded_local_.load(std::memory_order_relaxed);
-  st.slow_clients_dropped =
-      slow_clients_dropped_.load(std::memory_order_relaxed);
-  st.responses_dropped = responses_dropped_.load(std::memory_order_relaxed);
-  st.accept_failures = accept_failures_.load(std::memory_order_relaxed);
   return st;
 }
 
@@ -345,9 +277,8 @@ bool Router::spawn_worker(std::size_t slot) {
   w.abandoned = false;
   w.stdin_closed = false;
   w.responded_since_spawn = false;
-  w.rbuf.clear();
-  w.wbuf.clear();
-  w.woff = 0;
+  w.in.clear();
+  w.out.clear();
   {
     std::lock_guard lock(pids_mu_);
     pids_[slot] = pid;
@@ -374,69 +305,41 @@ void Router::write_pid_file() {
 }
 
 void Router::forward_to(std::size_t slot, const std::string& line) {
-  Worker& w = *workers_[slot];
-  w.wbuf += line;
-  w.wbuf += '\n';
+  workers_[slot]->out.push_line(line);
   flush_worker(slot);
 }
 
 void Router::flush_worker(std::size_t slot) {
   Worker& w = *workers_[slot];
   if (!w.alive || w.stdin_closed) return;
-  while (w.pending() > 0) {
-    const ssize_t n =
-        ::write(w.to_fd, w.wbuf.data() + w.woff, w.pending());
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      // EPIPE: the worker died with requests still queued toward it.
-      // Death handling (respawn + re-forward from the pending map) runs
-      // off the stdout EOF, which is already on its way; the stale
-      // queue is dropped here.
-      w.wbuf.clear();
-      w.woff = 0;
-      return;
-    }
-    w.woff += static_cast<std::size_t>(n);
-  }
-  if (w.pending() == 0) {
-    w.wbuf.clear();
-    w.woff = 0;
-  } else if (w.woff >= 65536) {
-    w.wbuf.erase(0, w.woff);
-    w.woff = 0;
-  }
+  // EPIPE: the worker died with requests still queued toward it. Death
+  // handling (respawn + re-forward from the pending map) runs off the
+  // stdout EOF, which is already on its way; the stale queue is dropped
+  // here.
+  if (w.out.flush(w.to_fd, /*is_socket=*/false) != 0) w.out.clear();
 }
 
 void Router::handle_worker_readable(std::size_t slot) {
   Worker& w = *workers_[slot];
-  char chunk[65536];
-  const ssize_t n = ::read(w.from_fd, chunk, sizeof chunk);
-  if (n < 0) {
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
-    worker_died(slot);
-    return;
-  }
-  if (n == 0) {
-    // EOF is the death signal: the worker's stdout write end only closes
-    // when the process exits (or execs away every fd, which a worker
-    // never does). A partial trailing line is corruption and drops.
-    worker_died(slot);
-    return;
-  }
-  w.rbuf.append(chunk, static_cast<std::size_t>(n));
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = w.rbuf.find('\n', start);
-    if (nl == std::string::npos) break;
-    handle_worker_line(slot, w.rbuf.substr(start, nl - start));
-    start = nl + 1;
-  }
-  w.rbuf.erase(0, start);
-  if (w.rbuf.size() > config_.max_line_bytes) {
-    // A worker emitting an unbounded non-line is broken protocol; kill
-    // it and let the death path take over.
-    kill_worker(slot);
+  switch (w.in.read(w.from_fd, config_.max_line_bytes,
+                    [this, slot](std::string line) {
+                      handle_worker_line(slot, std::move(line));
+                    })) {
+    case LineReader::Status::kOk:
+      return;
+    case LineReader::Status::kEof:
+    case LineReader::Status::kError:
+      // EOF is the death signal: the worker's stdout write end only
+      // closes when the process exits (or execs away every fd, which a
+      // worker never does). A partial trailing line is corruption and
+      // drops.
+      worker_died(slot);
+      return;
+    case LineReader::Status::kOversize:
+      // A worker emitting an unbounded non-line is broken protocol; kill
+      // it and let the death path take over.
+      kill_worker(slot);
+      return;
   }
 }
 
@@ -494,7 +397,7 @@ void Router::handle_worker_line(std::size_t slot, std::string line) {
   }
 
   --p.conn->outstanding;
-  respond_client(p.conn, restore_response_id(line, p.orig_id));
+  frontend_.respond(p.conn, restore_response_id(line, p.orig_id));
 }
 
 void Router::worker_died(std::size_t slot) {
@@ -508,9 +411,8 @@ void Router::worker_died(std::size_t slot) {
     w.to_fd = -1;
     w.stdin_closed = true;
   }
-  w.rbuf.clear();
-  w.wbuf.clear();
-  w.woff = 0;
+  w.in.clear();
+  w.out.clear();
   zombies_.push_back(w.pid);
   {
     std::lock_guard lock(pids_mu_);
@@ -568,16 +470,18 @@ void Router::abandon_worker(std::size_t slot) {
     if (it == pending_.end()) continue;
     Pending p = std::move(it->second);
     pending_.erase(it);
-    if (p.fanout) {
-      if (p.fanout->remaining > 0) --p.fanout->remaining;
-      if (p.fanout->remaining == 0) finish_fanout(p.fanout);
-      continue;
-    }
-    --p.conn->outstanding;
-    respond_client(p.conn,
-                   internal_error_response(
-                       p.orig_id, "worker for this shard is unavailable"));
+    fail_pending(std::move(p), "worker for this shard is unavailable");
   }
+}
+
+void Router::fail_pending(Pending p, const char* why) {
+  if (p.fanout) {
+    if (p.fanout->remaining > 0) --p.fanout->remaining;
+    if (p.fanout->remaining == 0) finish_fanout(p.fanout);
+    return;
+  }
+  --p.conn->outstanding;
+  frontend_.respond(p.conn, internal_error_response(p.orig_id, why));
 }
 
 void Router::close_worker_stdin(std::size_t slot) {
@@ -588,8 +492,7 @@ void Router::close_worker_stdin(std::size_t slot) {
   ::close(w.to_fd);
   w.to_fd = -1;
   w.stdin_closed = true;
-  w.wbuf.clear();
-  w.woff = 0;
+  w.out.clear();
 }
 
 void Router::kill_worker(std::size_t slot) {
@@ -611,88 +514,7 @@ void Router::reap_zombies(bool block) {
 
 // ---- Client side ----
 
-void Router::do_accept() {
-  for (;;) {
-    const int fd = accept_nonblock_cloexec(listen_fd_);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM) {
-        // Same policy as the server: back off instead of poll-spinning
-        // on the still-readable listen fd.
-        accept_failures_.fetch_add(1, std::memory_order_relaxed);
-        obs_count("svc.router.accept_failed");
-        accept_backoff_until_ns_ =
-            obs::now_ns() +
-            static_cast<std::uint64_t>(config_.accept_backoff_ms > 0
-                                           ? config_.accept_backoff_ms
-                                           : 1) *
-                1'000'000ull;
-        return;
-      }
-      return;  // EAGAIN: everything pending was accepted
-    }
-    configure_accepted_socket(fd, config_.so_sndbuf);
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.connections");
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    conns_.push_back(std::move(conn));
-  }
-}
-
-void Router::handle_client_readable(const std::shared_ptr<Conn>& conn) {
-  char chunk[65536];
-  const ssize_t n = ::read(conn->fd, chunk, sizeof chunk);
-  if (n < 0) {
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
-    close_client(*conn);  // client went away; its responses drop
-    return;
-  }
-  if (n == 0) {
-    // EOF. A final unterminated line still counts as a request, then the
-    // connection half-closes: every owed response still flushes.
-    if (!conn->rbuf.empty()) {
-      std::string line;
-      line.swap(conn->rbuf);
-      route_line(conn, std::move(line));
-    }
-    conn->read_shut = true;
-    conn->close_when_idle = true;
-    return;
-  }
-  conn->rbuf.append(chunk, static_cast<std::size_t>(n));
-  deliver_lines(conn);
-}
-
-void Router::deliver_lines(const std::shared_ptr<Conn>& conn) {
-  std::size_t start = 0;
-  bool oversize = false;
-  for (;;) {
-    const std::size_t nl = conn->rbuf.find('\n', start);
-    if (nl == std::string::npos) break;
-    if (nl - start > config_.max_line_bytes) {
-      oversize = true;
-      break;
-    }
-    route_line(conn, conn->rbuf.substr(start, nl - start));
-    start = nl + 1;
-  }
-  conn->rbuf.erase(0, start);
-  if (oversize || conn->rbuf.size() > config_.max_line_bytes) {
-    respond_client(
-        conn, error_response("", SvcErrorCode::kBadRequest,
-                             "request line exceeds " +
-                                 std::to_string(config_.max_line_bytes) +
-                                 " bytes"));
-    conn->rbuf.clear();
-    conn->read_shut = true;
-    conn->close_when_idle = true;
-  }
-}
-
-void Router::route_line(const std::shared_ptr<Conn>& conn,
-                        std::string line) {
+void Router::route_line(const ConnPtr& conn, std::string line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   obs_count("svc.router.requests");
 
@@ -702,7 +524,7 @@ void Router::route_line(const std::shared_ptr<Conn>& conn,
   } catch (const ProtocolError& e) {
     // Same renderer + same parser => the same bytes a direct worker
     // would have produced; no need to burn a round-trip on it.
-    respond_client(conn, error_response(e.id(), e.code(), e.what()));
+    frontend_.respond(conn, error_response(e.id(), e.code(), e.what()));
     return;
   }
 
@@ -715,7 +537,7 @@ void Router::route_line(const std::shared_ptr<Conn>& conn,
       // Ack first (the bytes a direct server sends), then drain the
       // whole fleet via the wake pipe — the same latch signals use —
       // so the response still flushes: drain only stops reads.
-      respond_client(conn, shutdown_response(req.id));
+      frontend_.respond(conn, shutdown_response(req.id));
       trigger_stop();
       return;
     case Request::Op::kEvaluate:
@@ -726,19 +548,19 @@ void Router::route_line(const std::shared_ptr<Conn>& conn,
   const std::size_t slot = static_cast<std::size_t>(fp % config_.n_workers);
   Worker& w = *workers_[slot];
   if (w.abandoned) {
-    respond_client(conn,
-                   internal_error_response(
-                       req.id, "worker for this shard is unavailable"));
+    frontend_.respond(conn,
+                      internal_error_response(
+                          req.id, "worker for this shard is unavailable"));
     return;
   }
-  if (w.pending() > config_.max_worker_pipe_bytes) {
+  if (w.out.pending() > config_.max_worker_pipe_bytes) {
     // The shard owner has stopped draining its stdin: local admission
     // control, same contract as the service's bounded queue.
     overloaded_local_.fetch_add(1, std::memory_order_relaxed);
     obs_count("svc.router.overloaded_local");
-    respond_client(conn,
-                   error_response(req.id, SvcErrorCode::kOverloaded,
-                                  "worker pipe full; retry later"));
+    frontend_.respond(conn,
+                      error_response(req.id, SvcErrorCode::kOverloaded,
+                                     "worker pipe full; retry later"));
     return;
   }
 
@@ -756,8 +578,7 @@ void Router::route_line(const std::shared_ptr<Conn>& conn,
   forward_to(slot, fwd);
 }
 
-void Router::start_fanout(const std::shared_ptr<Conn>& conn,
-                          const Request& req) {
+void Router::start_fanout(const ConnPtr& conn, const Request& req) {
   auto fanout = std::make_shared<Fanout>();
   fanout->conn = conn;
   fanout->orig_id = req.id;
@@ -845,7 +666,7 @@ void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
   }
   --f.conn->outstanding;
   if (f.op == Request::Op::kPing) {
-    respond_client(f.conn, pong_response(f.orig_id));
+    frontend_.respond(f.conn, pong_response(f.orig_id));
     return;
   }
   std::size_t alive = 0;
@@ -884,210 +705,69 @@ void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
                           const std::atomic<std::uint64_t>& c) {
     field(key, c.load(std::memory_order_relaxed));
   };
-  counter(",\"connections\":", connections_);
+  const TransportStats ts = frontend_.stats();
+  field(",\"connections\":", ts.connections);
   counter(",\"requests\":", requests_);
   counter(",\"forwarded\":", forwarded_);
   counter(",\"rerouted\":", rerouted_);
   counter(",\"worker_deaths\":", worker_deaths_);
   counter(",\"respawns\":", respawns_);
   counter(",\"overloaded_local\":", overloaded_local_);
-  counter(",\"slow_clients_dropped\":", slow_clients_dropped_);
-  counter(",\"responses_dropped\":", responses_dropped_);
-  counter(",\"accept_failures\":", accept_failures_);
+  field(",\"slow_clients_dropped\":", ts.slow_clients_dropped);
+  field(",\"responses_dropped\":", ts.responses_dropped);
+  field(",\"accept_failures\":", ts.accept_failures);
   out += "}}";
-  respond_client(f.conn, out);
-}
-
-void Router::respond_client(const std::shared_ptr<Conn>& conn,
-                            const std::string& line) {
-  if (conn->dead) {
-    responses_dropped_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.responses_dropped");
-    return;
-  }
-  conn->wbuf += line;
-  conn->wbuf += '\n';
-  flush_client(conn);
-  if (!conn->dead && conn->pending() > config_.max_write_buffer_bytes)
-    drop_slow_client(conn);
-}
-
-void Router::flush_client(const std::shared_ptr<Conn>& conn) {
-  while (conn->pending() > 0) {
-    const ssize_t n = ::send(conn->fd, conn->wbuf.data() + conn->woff,
-                             conn->pending(), MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_client(*conn);  // reader gone; remaining responses drop
-      return;
-    }
-    conn->woff += static_cast<std::size_t>(n);
-  }
-  if (conn->pending() == 0) {
-    conn->wbuf.clear();
-    conn->woff = 0;
-  } else if (conn->woff >= 65536) {
-    conn->wbuf.erase(0, conn->woff);
-    conn->woff = 0;
-  }
-}
-
-void Router::drop_slow_client(const std::shared_ptr<Conn>& conn) {
-  slow_clients_dropped_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.router.slow_client_dropped");
-  close_client(*conn);
-}
-
-void Router::close_client(Conn& conn) {
-  if (conn.dead) return;
-  conn.dead = true;
-  conn.wbuf.clear();
-  conn.woff = 0;
-  ::close(conn.fd);
-  conn.fd = -1;
+  frontend_.respond(f.conn, out);
 }
 
 // ---- Event loop ----
 
-void Router::enter_drain() {
-  if (draining_) return;
-  draining_ = true;
-  // 1. Stop accepting.
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // 2. Stop reading; connections stay open so responses still flow.
-  for (const auto& c : conns_) c->read_shut = true;
-  flush_deadline_ns_ =
-      obs::now_ns() +
-      static_cast<std::uint64_t>(config_.drain_flush_timeout_ms > 0
-                                     ? config_.drain_flush_timeout_ms
-                                     : 0) *
-          1'000'000ull;
-}
-
 void Router::event_loop() {
   std::optional<obs::ScopedTimer> shutdown_timer;
   struct Slot {
-    enum Kind { kConn, kWorkerIn, kWorkerOut } kind;
-    std::size_t index;
+    bool to_worker;  ///< POLLOUT on its stdin pipe, else POLLIN on stdout
+    std::size_t worker;
   };
   std::vector<pollfd> pfds;
   std::vector<Slot> slots;  // pfds[fixed+i] -> slots[i]
-  std::vector<std::shared_ptr<Conn>> conn_refs;
 
   for (;;) {
     reap_zombies(false);
 
     pfds.clear();
     slots.clear();
-    conn_refs.clear();
-
-    // The wake pipe is latching (never read), so it is polled only until
-    // the drain starts — afterwards it would spin the loop.
-    int wake_idx = -1;
-    if (!draining_) {
-      wake_idx = static_cast<int>(pfds.size());
-      pfds.push_back({wake_r_, POLLIN, 0});
-    }
-    int backoff_ms = -1;
-    if (accept_backoff_until_ns_ != 0) {
-      const std::uint64_t now = obs::now_ns();
-      if (now >= accept_backoff_until_ns_) {
-        accept_backoff_until_ns_ = 0;
-      } else {
-        backoff_ms = static_cast<int>(
-            (accept_backoff_until_ns_ - now + 999'999) / 1'000'000);
-        if (backoff_ms < 1) backoff_ms = 1;
-      }
-    }
-    int listen_idx = -1;
-    if (!draining_ && listen_fd_ >= 0 && accept_backoff_until_ns_ == 0) {
-      listen_idx = static_cast<int>(pfds.size());
-      pfds.push_back({listen_fd_, POLLIN, 0});
-    }
+    const int timeout = frontend_.add_poll_fds(pfds);
     const std::size_t fixed = pfds.size();
-
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-      const auto& c = conns_[i];
-      if (c->dead) continue;
-      const bool want_read = !c->read_shut;
-      const bool want_write = c->pending() > 0;
-      if (!want_read && !want_write) continue;
-      pfds.push_back({c->fd,
-                      static_cast<short>((want_read ? POLLIN : 0) |
-                                         (want_write ? POLLOUT : 0)),
-                      0});
-      slots.push_back({Slot::kConn, conn_refs.size()});
-      conn_refs.push_back(c);
-    }
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& w = *workers_[i];
       if (!w.alive) continue;
       pfds.push_back({w.from_fd, POLLIN, 0});
-      slots.push_back({Slot::kWorkerOut, i});
-      if (!w.stdin_closed && w.pending() > 0) {
+      slots.push_back({false, i});
+      if (!w.stdin_closed && w.out.pending() > 0) {
         pfds.push_back({w.to_fd, POLLOUT, 0});
-        slots.push_back({Slot::kWorkerIn, i});
+        slots.push_back({true, i});
       }
     }
 
-    const int timeout = draining_ ? 20 : backoff_ms;
-    const int rc = ::poll(pfds.data(), pfds.size(), timeout);
-    if (rc < 0 && errno != EINTR) break;  // unrecoverable; bail out
-
-    if (wake_idx >= 0 && (pfds[wake_idx].revents & POLLIN) != 0) {
-      enter_drain();
-      shutdown_timer.emplace("svc.router.shutdown");
+    if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout) < 0) {
+      if (errno == EINTR) continue;
+      break;  // unrecoverable; bail out
     }
-    if (listen_idx >= 0 && !draining_ &&
-        (pfds[listen_idx].revents & POLLIN) != 0)
-      do_accept();
 
+    if (frontend_.dispatch(pfds))
+      shutdown_timer.emplace("svc.router.shutdown");
     for (std::size_t i = fixed; i < pfds.size(); ++i) {
       const Slot& slot = slots[i - fixed];
-      const short events = pfds[i].events;
       const short rev = pfds[i].revents;
-      if (rev == 0) continue;
-      switch (slot.kind) {
-        case Slot::kConn: {
-          const auto& c = conn_refs[slot.index];
-          if (c->dead) break;
-          if ((events & POLLIN) != 0 &&
-              (rev & (POLLIN | POLLHUP | POLLERR)) != 0 && !c->read_shut)
-            handle_client_readable(c);
-          if (c->dead) break;
-          if ((events & POLLOUT) != 0 &&
-              (rev & (POLLOUT | POLLHUP | POLLERR)) != 0)
-            flush_client(c);
-          if (!c->dead && (rev & POLLNVAL) != 0) close_client(*c);
-          break;
-        }
-        case Slot::kWorkerOut:
-          if (workers_[slot.index]->alive &&
-              (rev & (POLLIN | POLLHUP | POLLERR)) != 0)
-            handle_worker_readable(slot.index);
-          break;
-        case Slot::kWorkerIn:
-          if (workers_[slot.index]->alive &&
-              (rev & (POLLOUT | POLLHUP | POLLERR)) != 0)
-            flush_worker(slot.index);
-          break;
-      }
+      if (rev == 0 || !workers_[slot.worker]->alive) continue;
+      if (slot.to_worker && (rev & (POLLOUT | POLLHUP | POLLERR)) != 0)
+        flush_worker(slot.worker);
+      else if (!slot.to_worker && (rev & (POLLIN | POLLHUP | POLLERR)) != 0)
+        handle_worker_readable(slot.worker);
     }
+    frontend_.close_idle();
 
-    // Half-closed clients leave once their last owed response is out.
-    for (const auto& c : conns_)
-      if (!c->dead && c->close_when_idle && c->outstanding == 0 &&
-          c->pending() == 0)
-        close_client(*c);
-    conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                                [](const auto& c) { return c->dead; }),
-                 conns_.end());
-
-    if (!draining_) continue;
+    if (!frontend_.draining()) continue;
 
     const std::uint64_t now = obs::now_ns();
     if (!workers_stopping_) {
@@ -1096,40 +776,20 @@ void Router::event_loop() {
         final_stats_sent_ = true;
         if (obs::enabled()) start_internal_stats_fanout();
       }
-      if (now > flush_deadline_ns_) {
+      if (frontend_.flush_expired()) {
         // Budget exhausted. Whatever a worker still owes is answered
         // with a structured error (a hung worker must not hang
-        // shutdown), and whoever is not reading their responses drops.
-        std::vector<std::string> tokens;
-        tokens.reserve(pending_.size());
-        for (const auto& [token, p] : pending_) tokens.push_back(token);
-        for (const auto& token : tokens) {
-          const auto it = pending_.find(token);
-          if (it == pending_.end()) continue;
-          Pending p = std::move(it->second);
-          pending_.erase(it);
-          if (p.fanout) {
-            if (p.fanout->remaining > 0) --p.fanout->remaining;
-            if (p.fanout->remaining == 0) finish_fanout(p.fanout);
-            continue;
-          }
-          --p.conn->outstanding;
-          respond_client(p.conn,
-                         internal_error_response(
-                             p.orig_id, "router shut down before the "
-                                        "worker answered"));
-        }
-        for (const auto& c : conns_)
-          if (!c->dead && c->pending() > 0) drop_slow_client(c);
+        // shutdown); the front-end then drops whoever is not reading.
+        std::map<std::string, Pending> owed;
+        owed.swap(pending_);
+        for (auto& [token, p] : owed)
+          fail_pending(std::move(p),
+                       "router shut down before the worker answered");
       }
-      bool flushed = true;
-      for (const auto& c : conns_)
-        if (!c->dead && c->pending() > 0) flushed = false;
-      if (pending_.empty() && flushed) {
+      if (frontend_.drain_flushed() && pending_.empty()) {
         // Phase 2: the fleet winds down. Closing a worker's stdin is its
         // graceful-drain trigger (mirrors piping into rat_serve --stdio).
-        for (const auto& c : conns_) close_client(*c);
-        conns_.clear();
+        frontend_.close_all();
         for (std::size_t i = 0; i < workers_.size(); ++i)
           close_worker_stdin(i);
         workers_stopping_ = true;
@@ -1152,8 +812,7 @@ void Router::event_loop() {
     }
   }
 
-  for (const auto& c : conns_) close_client(*c);
-  conns_.clear();
+  frontend_.close_all();
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     Worker& w = *workers_[i];
     if (!w.alive) continue;

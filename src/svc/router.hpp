@@ -11,17 +11,19 @@
 // warm-starts shard by shard and a given worksheet always lands on the
 // worker that already holds its cached result.
 //
-// The router reuses the server's event-loop machinery (svc/fdio.hpp:
-// non-blocking CLOEXEC fds under one poll(2) loop, buffered partial
-// reads/writes, bounded write queues that drop slow clients) on both
-// sides: client connections on one side, worker pipes on the other.
-// Everything runs on the single loop thread — routing a request is a
-// parse + hash, never an evaluation, so the router needs no thread pool.
+// Clients reach the router through the same Frontend (svc/frontend.hpp)
+// as a direct rat_serve: the same listener and accept backoff, the same
+// line framing (blank and CRLF lines included), bounded write queues that
+// drop slow clients, half-close and drain flush budget, counted as
+// svc.router.*. The worker pipes reuse the front-end's WriteQueue and
+// LineReader, and both run under the one poll(2) loop. Everything runs
+// on the single loop thread — routing a request is a parse + hash, never
+// an evaluation, so the router needs no thread pool.
 //
 // Forwarding and byte identity: the router rewrites each request's id
 // to a private correlation token before forwarding and splices the
 // original id back into the worker's response line. Because every
-// response head is rendered by the same append_head emitter
+// response head is rendered by the same append_response_head emitter
 // (svc/protocol.cpp), the spliced line is byte-identical to what a
 // direct rat_serve would have produced — cache hit or miss, success or
 // structured E_* diagnostic, E_OVERLOADED backpressure included, the
@@ -58,13 +60,15 @@
 #include <thread>
 #include <vector>
 
+#include "svc/frontend.hpp"
 #include "svc/protocol.hpp"
 
 namespace rat::svc {
 
-struct RouterConfig {
-  int port = 0;           ///< loopback TCP (0 = ephemeral, see port())
-  int backlog = 64;       ///< listen(2) backlog
+/// The client-facing settings (port, backlog, line and write-queue
+/// bounds, accept backoff, drain flush budget) are the TransportConfig a
+/// direct rat_serve uses.
+struct RouterConfig : TransportConfig {
   std::size_t n_workers = 4;
   /// argv to exec one worker (typically {rat_serve, "--stdio",
   /// "--no-tcp", ...}); the router appends the per-shard --cache-dir.
@@ -74,19 +78,12 @@ struct RouterConfig {
   /// When set, rewritten (atomically) after every spawn/respawn: one
   /// worker pid per line in shard order, for scripts that kill workers.
   std::string worker_pid_file;
-  std::size_t max_line_bytes = 4u << 20;
-  /// Per-client bound on unsent response bytes (slow-client policy,
-  /// exactly as ServerConfig::max_write_buffer_bytes).
-  std::size_t max_write_buffer_bytes = 4u << 20;
   /// Per-worker bound on bytes queued toward the worker's stdin. A full
   /// worker pipe means the worker has stopped keeping up; new requests
   /// routed to it are rejected with E_OVERLOADED instead of buffering
   /// unboundedly (requests re-forwarded after a death are exempt — they
   /// were already admitted).
   std::size_t max_worker_pipe_bytes = 4u << 20;
-  int so_sndbuf = 0;      ///< SO_SNDBUF for accepted client sockets
-  int accept_backoff_ms = 50;       ///< EMFILE accept backoff (as Server)
-  int drain_flush_timeout_ms = 5000;
   /// Drain: how long workers get to EOF-drain and exit after their
   /// stdins close before they are SIGKILLed so shutdown terminates.
   int worker_exit_timeout_ms = 5000;
@@ -97,19 +94,15 @@ struct RouterConfig {
 
 class Router {
  public:
-  /// Front-end counters (the svc.router.* metrics, readable without the
-  /// obs registry).
-  struct Stats {
-    std::uint64_t connections = 0;     ///< client sockets accepted
+  /// Router counters on top of the client transport's (the svc.router.*
+  /// metrics, readable without the obs registry).
+  struct Stats : TransportStats {
     std::uint64_t requests = 0;        ///< client lines parsed
     std::uint64_t forwarded = 0;       ///< sub-requests sent to workers
     std::uint64_t rerouted = 0;        ///< re-forwarded after a death
     std::uint64_t worker_deaths = 0;   ///< unexpected worker EOFs
     std::uint64_t respawns = 0;        ///< replacement workers spawned
     std::uint64_t overloaded_local = 0;  ///< full worker pipe rejections
-    std::uint64_t slow_clients_dropped = 0;
-    std::uint64_t responses_dropped = 0;  ///< response to a gone client
-    std::uint64_t accept_failures = 0;    ///< accept(2) EMFILE/ENFILE
   };
 
   explicit Router(RouterConfig config);
@@ -125,13 +118,13 @@ class Router {
   void start();
 
   /// Bound TCP port (valid after start()).
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
 
   /// Write end of the wake pipe for async-signal-safe stop requests,
   /// exactly as Server::wake_fd().
-  int wake_fd() const { return wake_w_; }
+  int wake_fd() const { return frontend_.wake_fd(); }
 
-  void trigger_stop();
+  void trigger_stop() { frontend_.trigger_stop(); }
 
   /// Join the loop: blocks until stopped, drained, and every worker has
   /// exited (or been killed after worker_exit_timeout_ms).
@@ -143,27 +136,21 @@ class Router {
   std::vector<pid_t> worker_pids() const;
 
  private:
-  struct Conn;
+  using ConnPtr = Frontend::ConnPtr;
   struct Worker;
   struct Pending;
   struct Fanout;
 
   void event_loop();
-  void enter_drain();
-  void do_accept();
-  void handle_client_readable(const std::shared_ptr<Conn>& conn);
-  void deliver_lines(const std::shared_ptr<Conn>& conn);
-  void route_line(const std::shared_ptr<Conn>& conn, std::string line);
-  void start_fanout(const std::shared_ptr<Conn>& conn, const Request& req);
+  void route_line(const ConnPtr& conn, std::string line);
+  void start_fanout(const ConnPtr& conn, const Request& req);
   /// Drain-time conn-less stats broadcast whose aggregate lands in the
   /// obs registry (svc.fleet.* gauges) for the --metrics export.
   void start_internal_stats_fanout();
   void finish_fanout(const std::shared_ptr<Fanout>& fanout);
-  void respond_client(const std::shared_ptr<Conn>& conn,
-                      const std::string& line);
-  void flush_client(const std::shared_ptr<Conn>& conn);
-  void drop_slow_client(const std::shared_ptr<Conn>& conn);
-  void close_client(Conn& conn);
+  /// Resolve a pending request without a worker answer: a fan-out share
+  /// counts as done, an evaluate gets E_INTERNAL @p why.
+  void fail_pending(Pending p, const char* why);
 
   bool spawn_worker(std::size_t slot);
   void forward_to(std::size_t slot, const std::string& line);
@@ -180,40 +167,28 @@ class Router {
   std::string next_token();
 
   RouterConfig config_;
-
-  int listen_fd_ = -1;
-  int wake_r_ = -1;
-  int wake_w_ = -1;
-  int port_ = -1;
+  Frontend frontend_;
 
   std::thread loop_thread_;
 
   // Loop-thread-only state.
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::shared_ptr<Conn>> conns_;
   std::map<std::string, Pending> pending_;  ///< token -> in-flight request
   std::uint64_t token_counter_ = 0;
-  bool draining_ = false;
   bool workers_stopping_ = false;  ///< drain: worker stdins closed
   bool final_stats_sent_ = false;  ///< drain-time fleet stats sweep done
-  std::uint64_t flush_deadline_ns_ = 0;
   std::uint64_t worker_exit_deadline_ns_ = 0;
-  std::uint64_t accept_backoff_until_ns_ = 0;
   std::vector<pid_t> zombies_;  ///< dead workers not yet reaped
 
   mutable std::mutex pids_mu_;
   std::vector<pid_t> pids_;  ///< shard-order snapshot for worker_pids()
 
-  std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> rerouted_{0};
   std::atomic<std::uint64_t> worker_deaths_{0};
   std::atomic<std::uint64_t> respawns_{0};
   std::atomic<std::uint64_t> overloaded_local_{0};
-  std::atomic<std::uint64_t> slow_clients_dropped_{0};
-  std::atomic<std::uint64_t> responses_dropped_{0};
-  std::atomic<std::uint64_t> accept_failures_{0};
 
   bool started_ = false;
   bool ran_ = false;
@@ -242,7 +217,7 @@ std::string response_token(const std::string& line);
 
 /// @p line with its leading "id":"<token>" replaced by the original
 /// client id (JSON string, or null when the client sent none) — the
-/// exact bytes append_head would have rendered for a direct request.
+/// exact bytes append_response_head would have rendered for a direct request.
 std::string restore_response_id(const std::string& line,
                                 const std::string& orig_id);
 

@@ -2,23 +2,15 @@
 // stdio and/or a loopback TCP listener, served by one readiness-driven
 // event loop.
 //
-// A single loop thread owns every file descriptor. It accepts, reads and
-// writes exclusively over non-blocking fds (poll(2) readiness), keeping
-// per-connection buffers for partial request lines and partially written
-// responses. Request lines are handed to the Service; evaluations run on
-// the shared ThreadPool, and completed responses are handed back to the
-// loop through a notify pipe — worker threads never touch sockets, so a
-// response is never lost to a racing connection teardown and a blocked
-// send can never stall a worker.
-//
-// Slow clients: each connection's outbound queue is bounded
-// (max_write_buffer_bytes of unsent bytes). A client that stops reading
-// while responses keep arriving exceeds the bound and is disconnected —
-// counted as svc.server.slow_client_dropped — instead of ever blocking
-// the loop, other connections, or the graceful drain. This replaces the
-// old thread-per-connection design whose blocking send() under a
-// per-connection mutex let one stalled reader wedge every response (and
-// the drain) destined for that connection.
+// The client side — listener, accept backoff, line framing, bounded
+// write queues, half-close, the drain's flush budget and the
+// svc.server.* transport counters — is the shared Frontend
+// (svc/frontend.hpp), the same code rat_router's clients go through.
+// The Server adds what is its own: request lines are handed to the
+// Service; evaluations run on the shared ThreadPool, and completed
+// responses are handed back to the loop through a notify pipe — worker
+// threads never touch sockets, so a response is never lost to a racing
+// connection teardown and a blocked send can never stall a worker.
 //
 // Lifecycle:
 //
@@ -37,14 +29,10 @@
 //
 // Stop triggers: trigger_stop() from any thread, a shutdown op (the
 // server installs itself as the Service's shutdown handler), stdin EOF
-// in stdio mode, or a signal handler writing one byte to wake_fd() —
-// write(2) is async-signal-safe, which is the entire reason the wake
-// pipe exists. rat_serve wires SIGINT/SIGTERM to exactly that.
+// in stdio mode, or a signal handler writing one byte to wake_fd().
+// rat_serve wires SIGINT/SIGTERM to exactly that.
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,36 +40,14 @@
 #include <utility>
 #include <vector>
 
+#include "svc/frontend.hpp"
 #include "svc/service.hpp"
 
 namespace rat::svc {
 
-struct ServerConfig {
-  bool tcp = true;        ///< listen on loopback TCP
-  int port = 0;           ///< 0 = ephemeral (read the result via port())
-  bool stdio = false;     ///< also serve stdin -> stdout
-  std::size_t max_line_bytes = 4u << 20;  ///< oversize lines are rejected
-                                          ///< and the connection closed
-  int backlog = 64;       ///< listen(2) backlog (--backlog)
-  /// Bounded per-connection outbound queue: when more than this many
-  /// unsent response bytes pile up, the client has stopped reading and
-  /// is disconnected (svc.server.slow_client_dropped) instead of
-  /// blocking the event loop behind a full socket buffer.
-  std::size_t max_write_buffer_bytes = 4u << 20;
-  /// SO_SNDBUF for accepted sockets (0 = OS default). Small values bound
-  /// how much the kernel buffers on the server side, which makes the
-  /// slow-client policy bite deterministically.
-  int so_sndbuf = 0;
-  /// Flush budget during drain: pending responses may keep trickling to
-  /// clients this long; whoever still has unread bytes afterwards is
-  /// dropped as a slow client so shutdown always terminates.
-  int drain_flush_timeout_ms = 5000;
-  /// Backoff after accept(2) fails with EMFILE/ENFILE (fd exhaustion):
-  /// the listen fd stays readable while the pending connection waits, so
-  /// without a pause the loop would poll-spin at 100% CPU. The listen fd
-  /// is simply not polled for this long, then accept retries — the
-  /// queued connection is still there if fds freed up.
-  int accept_backoff_ms = 50;
+struct ServerConfig : TransportConfig {
+  bool tcp = true;     ///< listen on loopback TCP (TransportConfig::port)
+  bool stdio = false;  ///< also serve stdin -> stdout
   /// The fds served in stdio mode (defaults: the process's stdin and
   /// stdout). Tests point these at pipes to exercise stdio lifecycle —
   /// reader-gone EPIPE, EOF drain — without touching the real fds 0/1.
@@ -91,15 +57,8 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Transport-level counters (the svc.server.* metrics, readable
-  /// without the obs registry).
-  struct Stats {
-    std::uint64_t connections = 0;          ///< sockets accepted
-    std::uint64_t slow_clients_dropped = 0; ///< write queue bound exceeded
-    std::uint64_t responses_dropped = 0;    ///< response to a gone client
-    std::uint64_t write_failures = 0;       ///< hard send/write errors
-    std::uint64_t accept_failures = 0;      ///< accept(2) EMFILE/ENFILE
-  };
+  /// Transport counters (the svc.server.* metrics).
+  using Stats = TransportStats;
 
   Server(Service& service, ServerConfig config);
 
@@ -115,65 +74,41 @@ class Server {
   void start();
 
   /// Bound TCP port (valid after start() when config.tcp).
-  int port() const { return port_; }
+  int port() const { return frontend_.port(); }
 
   /// Write end of the wake pipe, for async-signal-safe stop requests:
   /// a signal handler may write(wake_fd(), "x", 1).
-  int wake_fd() const { return wake_w_; }
+  int wake_fd() const { return frontend_.wake_fd(); }
 
   /// Request stop from normal (non-signal) context.
-  void trigger_stop();
+  void trigger_stop() { frontend_.trigger_stop(); }
 
   /// Block until stopped and fully drained (see file comment).
   void run();
 
-  Stats stats() const;
+  Stats stats() const { return frontend_.stats(); }
 
  private:
-  struct Connection;
+  using ConnPtr = Frontend::ConnPtr;
 
   void event_loop();
-  void enter_drain();
-  void do_accept();
-  void handle_readable(const std::shared_ptr<Connection>& conn);
-  void deliver_lines(const std::shared_ptr<Connection>& conn);
-  void submit_line(const std::shared_ptr<Connection>& conn, std::string line);
+  void submit_line(const ConnPtr& conn, std::string line);
   /// Any-thread handoff of a finished response line into the loop.
-  void enqueue_response(std::shared_ptr<Connection> conn, std::string line);
+  void enqueue_response(ConnPtr conn, std::string line);
   void process_completions();
-  void append_response(const std::shared_ptr<Connection>& conn,
-                       const std::string& line);
-  void flush_writes(const std::shared_ptr<Connection>& conn);
-  void drop_slow_client(const std::shared_ptr<Connection>& conn);
-  void close_connection(Connection& conn);
 
   Service& service_;
   ServerConfig config_;
+  Frontend frontend_;
 
-  int listen_fd_ = -1;
-  int wake_r_ = -1;    ///< stop latch: stays readable once stop was asked
-  int wake_w_ = -1;
   int notify_r_ = -1;  ///< completion handoff: workers ping the loop
   int notify_w_ = -1;
-  int port_ = -1;
 
   std::thread loop_thread_;
 
-  // Loop-thread-only state (start() seeds conns_ before the loop spawns).
-  std::vector<std::shared_ptr<Connection>> conns_;
-  bool draining_ = false;
-  std::uint64_t flush_deadline_ns_ = 0;
-  std::uint64_t accept_backoff_until_ns_ = 0;  ///< EMFILE backoff window
-
   // Completed responses, handed from any thread to the loop.
   std::mutex done_mu_;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::string>> done_;
-
-  std::atomic<std::uint64_t> connections_{0};
-  std::atomic<std::uint64_t> slow_clients_dropped_{0};
-  std::atomic<std::uint64_t> responses_dropped_{0};
-  std::atomic<std::uint64_t> write_failures_{0};
-  std::atomic<std::uint64_t> accept_failures_{0};
+  std::vector<std::pair<ConnPtr, std::string>> done_;
 
   bool started_ = false;
   bool ran_ = false;

@@ -27,7 +27,7 @@ Mix pdf_mix() {
 
 TEST(LoadGen, AllRequestsAnsweredAndTotalsConsistent) {
   svc::Service service;
-  svc::Server server(service, {.port = 0});
+  svc::Server server(service, {});
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -61,7 +61,7 @@ TEST(LoadGen, AllRequestsAnsweredAndTotalsConsistent) {
 
 TEST(LoadGen, ReportJsonIsWellFormedAndSloGates) {
   svc::Service service;
-  svc::Server server(service, {.port = 0});
+  svc::Server server(service, {});
   server.start();
 
   RunConfig cfg;
@@ -104,7 +104,7 @@ TEST(LoadGen, ServerSideHistogramMatchesRequestCount) {
   obs::set_enabled(true);
   {
     svc::Service service;
-    svc::Server server(service, {.port = 0});
+    svc::Server server(service, {});
     server.start();
 
     RunConfig cfg;

@@ -1,16 +1,14 @@
 // rat_router front-end: fingerprint routing units, byte-identity of
-// routed vs direct responses, E_OVERLOADED propagation, worker-kill
-// respawn with every admitted request still answered, fan-out stats
-// aggregation, fast-death shard abandonment, and shutdown-op drain.
+// routed vs direct responses (blank and CRLF lines included),
+// E_OVERLOADED propagation, worker-kill respawn with every admitted
+// request still answered, fan-out stats aggregation, fast-death shard
+// abandonment, and shutdown-op drain.
 //
 // The process-level tests supervise real rat_serve workers (RAT_SERVE_BIN
 // points at the build-tree binary) behind an in-process Router.
 #include "svc/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -18,8 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <future>
 #include <map>
 #include <optional>
@@ -29,72 +25,18 @@
 
 #include "core/parameters.hpp"
 #include "io/json.hpp"
+#include "loopback_client.hpp"
 #include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
+#include "svc/server.hpp"
 #include "svc/service.hpp"
-#include "socket_probe.hpp"
 
 namespace rat::svc {
 namespace {
 
-/// Blocking line-oriented loopback client (same shape as the server
-/// suite's).
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    EXPECT_EQ(
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0)
-        << std::strerror(errno);
-  }
-
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  void send_line(const std::string& line) {
-    std::string out = line;
-    out += '\n';
-    std::size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n =
-          ::send(fd_, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  std::optional<std::string> read_line() {
-    for (;;) {
-      const std::size_t nl = buffer_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffer_.substr(0, nl);
-        buffer_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(fd_, chunk, sizeof chunk);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-std::string evaluate_line(const std::string& id, const std::string& sheet,
-                          const std::string& extra = "") {
-  return "{\"id\":" + io::json_str(id) +
-         ",\"op\":\"evaluate\",\"worksheet\":" + io::json_str(sheet) + extra +
-         "}";
-}
+using testing::Client;
+using testing::evaluate_line;
+using testing::wait_until;
 
 RouterConfig worker_fleet(std::size_t n,
                           std::vector<std::string> extra_flags = {}) {
@@ -113,16 +55,6 @@ std::string direct_response(Service& service, const std::string& line) {
   service.submit(line,
                  [&promise](std::string l) { promise.set_value(std::move(l)); });
   return future.get();
-}
-
-bool wait_until(const std::function<bool()>& cond, int timeout_ms = 10000) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return cond();
 }
 
 Request evaluate_request(const std::string& sheet) {
@@ -221,6 +153,34 @@ TEST(SvcRouter, RoutedResponsesMatchDirectServiceByteForByte) {
   router.run();
 }
 
+TEST(SvcRouter, BlankAndCrlfLinesMatchDirectServerByteStream) {
+  // Blank keepalive lines and CRLF endings, pipelined in one write: the
+  // router frames client bytes with the same code as a direct server, so
+  // both answer the ping alone — no error line for the blank lines — and
+  // the two byte streams are equal.
+  const std::string input = "\n\r\n{\"id\":\"a\",\"op\":\"ping\"}\r\n";
+  auto stream = [&input](int port) {
+    Client client(port);
+    client.send_raw(input);
+    client.shutdown_write();  // half-close: answer what is owed, then EOF
+    return client.read_to_eof();
+  };
+
+  Service service;
+  Server server(service, {});
+  server.start();
+  const std::string direct = stream(server.port());
+  server.trigger_stop();
+  server.run();
+  EXPECT_EQ(direct, pong_response("a") + "\n");
+
+  Router router(worker_fleet(1));
+  router.start();
+  EXPECT_EQ(stream(router.port()), direct);
+  router.trigger_stop();
+  router.run();
+}
+
 TEST(SvcRouter, DuplicateRequestsStayOnOneShardAndHitItsCache) {
   Router router(worker_fleet(4));
   router.start();
@@ -263,21 +223,6 @@ TEST(SvcRouter, PingFansOutAndAnswersWithDirectBytes) {
   const auto line = client.read_line();
   ASSERT_TRUE(line.has_value());
   EXPECT_EQ(*line, pong_response("p"));  // aggregation leaves no trace
-  router.trigger_stop();
-  router.run();
-}
-
-TEST(SvcRouter, AcceptedClientSocketsTurnNagleOff) {
-  // Same policy as the server: responses are small writes a client is
-  // waiting on, so Nagle must not hold them for a delayed ACK.
-  Router router(worker_fleet(1));
-  router.start();
-  Client client(router.port());
-  client.send_line("{\"id\":\"n\",\"op\":\"ping\"}");
-  ASSERT_TRUE(client.read_line().has_value());  // accepted by now
-  const std::vector<int> fds = testing::accepted_sockets(router.port());
-  ASSERT_EQ(fds.size(), 1u);
-  EXPECT_EQ(testing::tcp_nodelay(fds[0]), 1);
   router.trigger_stop();
   router.run();
 }

@@ -72,10 +72,13 @@ class PoolBlocker {
   PoolBlocker() {
     const std::size_t n = util::ThreadPool::shared().size();
     gate_ = release_.get_future().share();
+    // Each task waits on its own copy of the gate: a worker that wakes
+    // from release() may still be inside wait() when the blocker is
+    // destroyed, so it must hold a reference to the shared state.
     for (std::size_t i = 0; i < n; ++i)
-      util::ThreadPool::shared().submit([this] {
+      util::ThreadPool::shared().submit([this, gate = gate_] {
         blocked_.fetch_add(1);
-        gate_.wait();
+        gate.wait();
       });
     while (blocked_.load() < n) std::this_thread::yield();
   }
