@@ -22,9 +22,9 @@
 //   (docs/EXPLORATION.md); stdout stays byte-identical, stderr gains the
 //   explore.* effort counters.
 //   --plan-cache persists every full evaluation in a content-addressed
-//   DurableStore keyed by candidate+requirements+device fingerprints, so
-//   a rerun — same campaign or an overlapping one — replays instead of
-//   recomputing. Survives kill -9 (it rides the store's journal).
+//   journal keyed by candidate+requirements+device fingerprints, so a
+//   rerun — same campaign or an overlapping one — replays instead of
+//   recomputing. Survives kill -9 (every insert is fsynced).
 //   --throttle-ms sleeps that long inside each precision kernel run,
 //   slowing evaluations down so crash-recovery harnesses can interrupt a
 //   live campaign deterministically.

@@ -6,9 +6,9 @@
 // supervised over stdin/stdout pipes) and sends every evaluate request
 // to worker fp % N, where fp is its rat.fp.v1 worksheet fingerprint —
 // so each distinct design is evaluated and cached exactly once across
-// the fleet, and with --cache-dir each worker warm-starts its own
-// durable shard. (Plain modulo, not consistent hashing: a different N
-// moves most designs to another shard.) Workers that die are respawned in
+// the fleet, in the owning worker's in-memory result cache. (Plain
+// modulo, not consistent hashing: a different N moves most designs to
+// another shard.) Workers that die are respawned in
 // place and their in-flight requests re-forwarded; ping/stats fan out
 // and aggregate. Responses are byte-identical to a direct rat_serve.
 //
@@ -23,8 +23,6 @@
 //              [--worker-pid-file=<path>]
 //                                    rewritten after every (re)spawn:
 //                                    one pid per line in shard order
-//              [--cache-dir=<path>]  per-worker durable cache shards
-//                                    (<path>/shard-<i>)
 //              [--cache-capacity=N]  forwarded to each worker
 //              [--queue-capacity=N]  forwarded to each worker
 //              [--deadline-ms=X]     forwarded to each worker
@@ -62,11 +60,10 @@ int usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--workers=N] [--port=N] [--port-file=<path>] "
                "[--worker-bin=<path>] [--worker-pid-file=<path>] "
-               "[--cache-dir=<path>] [--cache-capacity=N] "
-               "[--queue-capacity=N] [--deadline-ms=X] [--threads=N] "
-               "[--backlog=N] [--write-buffer-bytes=N] "
-               "[--worker-buffer-bytes=N] [--so-sndbuf=N] "
-               "[--metrics=<path>]\n",
+               "[--cache-capacity=N] [--queue-capacity=N] "
+               "[--deadline-ms=X] [--threads=N] [--backlog=N] "
+               "[--write-buffer-bytes=N] [--worker-buffer-bytes=N] "
+               "[--so-sndbuf=N] [--metrics=<path>]\n",
                program);
   return 1;
 }
@@ -100,9 +97,9 @@ int main(int argc, char** argv) {
 
   static const std::vector<std::string> known{
       "workers", "port", "port-file", "worker-bin", "worker-pid-file",
-      "cache-dir", "cache-capacity", "queue-capacity", "deadline-ms",
-      "threads", "backlog", "write-buffer-bytes", "worker-buffer-bytes",
-      "so-sndbuf", "metrics", "help"};
+      "cache-capacity", "queue-capacity", "deadline-ms", "threads",
+      "backlog", "write-buffer-bytes", "worker-buffer-bytes", "so-sndbuf",
+      "metrics", "help"};
   for (const std::string& k : cli.keys()) {
     bool ok = false;
     for (const std::string& kn : known) ok |= (k == kn);
@@ -133,11 +130,6 @@ int main(int argc, char** argv) {
         cli.get_size_t("so-sndbuf", 0, 0, std::size_t{1} << 30));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rat_router: %s\n", e.what());
-    return usage(argv[0]);
-  }
-  cfg.cache_dir = cli.get_or("cache-dir", "");
-  if (cli.has("cache-dir") && cfg.cache_dir.empty()) {
-    std::fprintf(stderr, "rat_router: --cache-dir needs a path\n");
     return usage(argv[0]);
   }
   cfg.worker_pid_file = cli.get_or("worker-pid-file", "");

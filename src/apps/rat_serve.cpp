@@ -19,9 +19,6 @@
 //                                   before the pool exists; 0 = auto)
 //             [--cache-capacity=N]  result-cache entries (default 1024,
 //                                   0 disables caching)
-//             [--cache-dir=<path>]  durable result cache (docs/STORE.md):
-//                                   warm-start from the store on boot,
-//                                   journal every fresh result
 //             [--queue-capacity=N]  admission limit: max queued+running
 //                                   evaluations (default 256); excess
 //                                   requests get E_OVERLOADED
@@ -46,7 +43,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,9 +59,9 @@ int usage(const char* program) {
   std::fprintf(stderr,
                "usage: %s [--port=N] [--port-file=<path>] [--stdio] "
                "[--no-tcp] [--threads=N] [--cache-capacity=N] "
-               "[--cache-dir=<path>] [--queue-capacity=N] "
-               "[--deadline-ms=X] [--backlog=N] [--write-buffer-bytes=N] "
-               "[--so-sndbuf=N] [--metrics=<path>]\n",
+               "[--queue-capacity=N] [--deadline-ms=X] [--backlog=N] "
+               "[--write-buffer-bytes=N] [--so-sndbuf=N] "
+               "[--metrics=<path>]\n",
                program);
   return 1;
 }
@@ -89,8 +85,8 @@ int main(int argc, char** argv) {
 
   static const std::vector<std::string> known{
       "port", "port-file", "stdio", "no-tcp", "threads", "cache-capacity",
-      "cache-dir", "queue-capacity", "deadline-ms", "backlog",
-      "write-buffer-bytes", "so-sndbuf", "metrics", "help"};
+      "queue-capacity", "deadline-ms", "backlog", "write-buffer-bytes",
+      "so-sndbuf", "metrics", "help"};
   for (const std::string& k : cli.keys()) {
     bool ok = false;
     for (const std::string& kn : known) ok |= (k == kn);
@@ -133,11 +129,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rat_serve: --deadline-ms must be finite and >= 0\n");
     return usage(argv[0]);
   }
-  svc_cfg.cache_dir = cli.get_or("cache-dir", "");
-  if (cli.has("cache-dir") && svc_cfg.cache_dir.empty()) {
-    std::fprintf(stderr, "rat_serve: --cache-dir needs a path\n");
-    return usage(argv[0]);
-  }
   srv_cfg.stdio = cli.has("stdio");
   srv_cfg.tcp = !cli.has("no-tcp");
   if (!srv_cfg.tcp && !srv_cfg.stdio) {
@@ -159,20 +150,8 @@ int main(int argc, char** argv) {
     if (const char* env = obs::env_metrics_path()) metrics_path = env;
   if (!metrics_path.empty()) obs::set_enabled(true);
 
-  std::optional<svc::Service> service;
-  try {
-    service.emplace(svc_cfg);
-  } catch (const std::exception& e) {
-    // A corrupt store snapshot or unusable --cache-dir arrives here as a
-    // structured E_* StoreError message.
-    std::fprintf(stderr, "rat_serve: %s\n", e.what());
-    return 1;
-  }
-  if (!svc_cfg.cache_dir.empty())
-    std::fprintf(stderr, "rat_serve: warm-started %llu cached result(s)\n",
-                 static_cast<unsigned long long>(service->stats().cache_warmed));
-
-  svc::Server server(*service, srv_cfg);
+  svc::Service service(svc_cfg);
+  svc::Server server(service, srv_cfg);
   try {
     server.start();
   } catch (const std::exception& e) {
@@ -207,7 +186,7 @@ int main(int argc, char** argv) {
 
   server.run();  // blocks until SIGINT/SIGTERM/shutdown op, then drains
 
-  const svc::Service::Stats st = service->stats();
+  const svc::Service::Stats st = service.stats();
   std::fprintf(stderr,
                "rat_serve: drained: %llu requests (%llu ok, %llu error), "
                "cache %llu hit / %llu miss / %llu evicted\n",

@@ -18,32 +18,35 @@
 // candidate, the requirements or the device changes the key — a stale
 // entry is never *rejected*, it is simply never found. Values are
 // version-prefixed, position-independent evaluation payloads
-// (core::encode_evaluation_unindexed), durable in a DurableStore: they
-// survive kill -9, and a torn final append is truncated on reopen.
+// (core::encode_evaluation_unindexed).
+//
+// Storage: one rat.store.v1 journal, <dir>/journal (docs/STORE.md), whose
+// records are puts (u8 op 1 | string key | string value). Opening replays
+// it into an in-memory map, last write per key winning; every insert is
+// appended and fsynced before it returns, so entries survive kill -9 and
+// a torn final append is truncated on reopen. A key names one evaluation,
+// so the journal only grows by new points and never needs compaction.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "core/evaluation.hpp"
-#include "store/store.hpp"
+#include "store/journal.hpp"
 
 namespace rat::explore {
 
 class PlanCache {
  public:
-  struct Options {
-    /// fsync after every insert (crash-durability; see docs/STORE.md).
-    bool sync_every_append = true;
-  };
-
-  /// Open or create the cache at @p dir. Throws store::StoreError (kIo,
-  /// kCorrupt) exactly like DurableStore — a corrupt *snapshot* refuses
-  /// to open; a torn journal tail is dropped silently.
+  /// Open or create the cache at @p dir and replay its journal. A record
+  /// that does not decode is skipped (its key misses and is re-evaluated).
+  /// Throws store::StoreError(kIo) when the directory or journal is
+  /// unusable.
   explicit PlanCache(const std::filesystem::path& dir);
-  PlanCache(const std::filesystem::path& dir, const Options& options);
 
   /// Canonical cache key for one (candidate, requirements, device)
   /// triple. Pure function of the fingerprints; campaign-independent.
@@ -58,24 +61,23 @@ class PlanCache {
   /// Replay a cached evaluation, re-stamped with this campaign's
   /// enumeration @p index and candidate @p name. Returns nullopt on a
   /// miss — including an entry whose payload fails to decode (version
-  /// mismatch or bit rot below the store's CRC granularity), which is
+  /// mismatch or bit rot below the journal's CRC granularity), which is
   /// treated as absent rather than fatal.
   std::optional<core::CandidateEvaluation> lookup(const std::string& key,
                                                   std::size_t index,
                                                   const std::string& name);
 
-  /// Memoize one fresh evaluation. Durable on return under
-  /// sync_every_append. Thread-safe (DurableStore::put is).
+  /// Memoize one fresh evaluation. Durable on return. Thread-safe.
   void insert(const std::string& key, const core::CandidateEvaluation& ev);
 
-  std::size_t size() const { return store_.size(); }
-  const store::DurableStore::OpenInfo& open_info() const {
-    return store_.open_info();
-  }
-  const std::filesystem::path& dir() const { return store_.dir(); }
+  std::size_t size() const;
+  const std::filesystem::path& dir() const { return dir_; }
 
  private:
-  store::DurableStore store_;
+  std::filesystem::path dir_;
+  mutable std::mutex mu_;  ///< guards entries_ and journal_ appends
+  std::unordered_map<std::string, std::string> entries_;
+  std::optional<store::JournalWriter> journal_;
 };
 
 }  // namespace rat::explore

@@ -97,7 +97,7 @@ void append_diagnostic_json(std::string& out, const core::Diagnostic& d);
 
 /// rat.store.v1 predictions payload: u32 count, then 13 f64 bit patterns
 /// per prediction in declaration order. Exact IEEE-754 round-trip — the
-/// basis for byte-identical checkpoint resume and cache warm-start.
+/// basis for byte-identical checkpoint resume.
 /// decode throws store::StoreError(kCorrupt) on malformed payloads.
 std::string encode_predictions(
     const std::vector<core::ThroughputPrediction>& predictions);

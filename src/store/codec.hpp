@@ -1,14 +1,14 @@
 // Little-endian binary encoding helpers shared by every rat.store.v1
-// payload (journal records, snapshot entries, checkpoint items, cached
-// prediction values).
+// payload (checkpoint items, plan-cache entries, encoded evaluations and
+// predictions).
 //
 // Writers append to a std::string; the Cursor reader is bounds-checked
 // and throws StoreError(kCorrupt) instead of reading past the end, so a
 // malformed payload can never turn into out-of-bounds access — decode
 // failures surface as structured errors, not UB. Doubles travel as their
 // exact IEEE-754 bit pattern (std::bit_cast), which is what makes
-// "warm-start responses are byte-identical to cold evaluation" possible:
-// no decimal round-trip ever touches a stored value.
+// "resumed and replayed results are byte-identical to fresh evaluation"
+// possible: no decimal round-trip ever touches a stored value.
 #pragma once
 
 #include <bit>

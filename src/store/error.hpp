@@ -14,7 +14,7 @@ namespace rat::store {
 
 enum class StoreErrorCode {
   kIo,               ///< open/read/write/fsync/rename failed
-  kCorrupt,          ///< snapshot or value bytes fail validation
+  kCorrupt,          ///< record or value bytes fail validation
   kStaleCheckpoint,  ///< checkpoint does not match the current campaign
 };
 

@@ -289,23 +289,6 @@ void JournalWriter::sync() {
   dirty_ = false;
 }
 
-void write_file_durable(const std::filesystem::path& path,
-                        std::string_view data) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0)
-    throw StoreError(StoreErrorCode::kIo, path.string(),
-                     errno_message("cannot create file"));
-  try {
-    write_all(fd, path, data);
-    fsync_fd(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-}
-
 void fsync_parent_dir(const std::filesystem::path& child) {
   std::filesystem::path dir = child.parent_path();
   if (dir.empty()) dir = ".";

@@ -1,5 +1,5 @@
-// rat.store.v1 append-only journal: the crash-safe half of the durable
-// store (docs/STORE.md carries the full format spec).
+// rat.store.v1 append-only journal: the one durable format of the store
+// (docs/STORE.md carries the full format spec).
 //
 // File layout:
 //
@@ -9,8 +9,8 @@
 //                      crc = CRC32C over payload_len || seq || payload
 //
 // All integers little-endian. Sequence numbers are strictly increasing
-// within a file (after compaction rewrites a journal, survivors keep
-// their original seqs, so gaps are legal; regressions are not).
+// within a file (append_with_seq may skip numbers, so gaps are legal;
+// regressions are not).
 //
 // Recovery scans from the header and keeps the longest valid prefix: a
 // short header, bad magic, short record, over-long length, CRC mismatch
@@ -99,8 +99,8 @@ class JournalWriter {
   /// Append one record with the next sequence number; returns that seq.
   std::uint64_t append(std::string_view payload);
 
-  /// Append with an explicit sequence number (compaction rewrites keep
-  /// survivors' original seqs). @p seq must exceed the last written seq.
+  /// Append with an explicit sequence number (a rewrite that keeps
+  /// records' original seqs). @p seq must exceed the last written seq.
   void append_with_seq(std::uint64_t seq, std::string_view payload);
 
   /// fsync the file (no-op when nothing was appended since the last one).
@@ -109,14 +109,6 @@ class JournalWriter {
   std::uint64_t bytes() const { return bytes_; }
   std::uint64_t next_seq() const { return next_seq_; }
   const std::filesystem::path& path() const { return path_; }
-
-  /// Update the remembered path after the caller renames the file (the
-  /// open descriptor follows the inode; only error messages use this).
-  void set_path(std::filesystem::path path) { path_ = std::move(path); }
-
-  /// Flip per-append durability (compaction rewrites in bulk with it off,
-  /// then re-enable before the writer goes live).
-  void set_sync_every_append(bool v) { options_.sync_every_append = v; }
 
  private:
   JournalWriter() = default;
@@ -135,13 +127,8 @@ class JournalWriter {
 /// Exposed for tests that build journals byte-by-byte.
 std::string frame_record(std::uint64_t seq, std::string_view payload);
 
-/// fsync the directory containing @p child so a just-created or
-/// just-renamed entry survives a crash of the directory itself.
+/// fsync the directory containing @p child so a just-created entry
+/// survives a crash of the directory itself.
 void fsync_parent_dir(const std::filesystem::path& child);
-
-/// Create/truncate @p path, write @p data in full, fsync and close.
-/// The building block for write-temp-then-atomic-rename.
-void write_file_durable(const std::filesystem::path& path,
-                        std::string_view data);
 
 }  // namespace rat::store

@@ -41,10 +41,9 @@ class ResultCache {
  public:
   using Value = std::shared_ptr<const std::vector<core::ThroughputPrediction>>;
 
-  /// What put() actually did. The persistence layer keys off this: only
-  /// genuine inserts reach the durable journal — a kRefreshed (key
-  /// already resident, e.g. two concurrent misses computing the same
-  /// worksheet) must not append a duplicate record.
+  /// What put() actually did: a genuine insert, or a kRefreshed when the
+  /// key was already resident (e.g. two concurrent misses computing the
+  /// same worksheet).
   enum class PutOutcome {
     kDropped,           ///< capacity 0: nothing stored
     kInserted,          ///< new entry, shard had room

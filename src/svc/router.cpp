@@ -151,17 +151,16 @@ struct Router::Pending {
 /// fanouts (the drain-time stats sweep feeding --metrics) have no
 /// client connection; their aggregate goes to the obs registry instead.
 struct Router::Fanout {
-  ConnPtr conn;  ///< null when internal
+  ConnPtr conn;  ///< null for the drain-time sweep
   std::string orig_id;
   Request::Op op = Request::Op::kPing;
-  bool internal = false;
   std::size_t remaining = 0;
   // Summed worker stats (the stats op's aggregation).
   std::uint64_t requests = 0, responses_ok = 0, responses_error = 0,
                 rejected_overloaded = 0, rejected_draining = 0,
                 deadline_expired = 0, in_flight = 0;
   std::uint64_t hits = 0, misses = 0, evictions = 0, size = 0, bytes = 0,
-                capacity = 0, warmed = 0;
+                capacity = 0;
 };
 
 // ---- Lifecycle ----
@@ -239,13 +238,9 @@ bool Router::spawn_worker(std::size_t slot) {
   // Build argv before fork: between fork and exec only async-signal-safe
   // calls are allowed (and the sanitizers enforce the spirit of that),
   // so no allocation may happen in the child.
-  std::vector<std::string> args = config_.worker_argv;
-  if (!config_.cache_dir.empty())
-    args.push_back("--cache-dir=" + config_.cache_dir + "/shard-" +
-                   std::to_string(slot));
   std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& a : args) argv.push_back(a.data());
+  argv.reserve(config_.worker_argv.size() + 1);
+  for (auto& a : config_.worker_argv) argv.push_back(a.data());
   argv.push_back(nullptr);
 
   const pid_t pid = ::fork();
@@ -373,7 +368,6 @@ void Router::handle_worker_line(std::size_t slot, std::string line) {
                 else if (ck == "size") f.size += v;
                 else if (ck == "bytes") f.bytes += v;
                 else if (ck == "capacity") f.capacity += v;
-                else if (ck == "warmed") f.warmed += v;
               }
               continue;
             }
@@ -564,77 +558,53 @@ void Router::route_line(const ConnPtr& conn, std::string line) {
     return;
   }
 
+  ++conn->outstanding;
+  forward_pending(slot, conn, req, nullptr);
+}
+
+void Router::forward_pending(std::size_t slot, const ConnPtr& conn,
+                             const Request& req,
+                             std::shared_ptr<Fanout> fanout) {
+  // Only client requests count as forwarded; the conn-less drain sweep
+  // is the router's own.
+  if (conn) {
+    forwarded_.fetch_add(1, std::memory_order_relaxed);
+    obs_count("svc.router.forwarded");
+  }
   const std::string token = next_token();
   Pending p;
   p.conn = conn;
   p.orig_id = req.id;
   p.worker = slot;
   p.fwd_line = encode_forward(token, req);
-  ++conn->outstanding;
-  forwarded_.fetch_add(1, std::memory_order_relaxed);
-  obs_count("svc.router.forwarded");
+  p.fanout = std::move(fanout);
   const std::string& fwd = pending_.emplace(token, std::move(p))
                                .first->second.fwd_line;
   forward_to(slot, fwd);
 }
 
 void Router::start_fanout(const ConnPtr& conn, const Request& req) {
+  // A conn-less fanout rides the same Pending map as a client's, so drain
+  // phase 1's "pending_ empty" gate waits for its answers before worker
+  // stdins close (and the flush-deadline backstop cancels them the same
+  // way if a worker hangs).
   auto fanout = std::make_shared<Fanout>();
   fanout->conn = conn;
   fanout->orig_id = req.id;
   fanout->op = req.op;
-  ++conn->outstanding;
+  if (conn) ++conn->outstanding;
   for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
     Worker& w = *workers_[slot];
     if (!w.alive || w.abandoned || w.stdin_closed) continue;
-    const std::string token = next_token();
-    Pending p;
-    p.conn = conn;
-    p.orig_id = req.id;
-    p.worker = slot;
-    p.fwd_line = encode_forward(token, req);
-    p.fanout = fanout;
     ++fanout->remaining;
-    forwarded_.fetch_add(1, std::memory_order_relaxed);
-    obs_count("svc.router.forwarded");
-    const std::string& fwd = pending_.emplace(token, std::move(p))
-                                 .first->second.fwd_line;
-    forward_to(slot, fwd);
-  }
-  if (fanout->remaining == 0) finish_fanout(fanout);
-}
-
-void Router::start_internal_stats_fanout() {
-  // Same wire mechanics as a client stats broadcast, but conn-less: the
-  // sub-requests ride the normal Pending map, so drain phase 1's
-  // "pending_ empty" gate naturally waits for the answers before worker
-  // stdins close (and the flush-deadline backstop cancels them the same
-  // way if a worker hangs).
-  auto fanout = std::make_shared<Fanout>();
-  fanout->op = Request::Op::kStats;
-  fanout->internal = true;
-  Request req;
-  req.op = Request::Op::kStats;
-  for (std::size_t slot = 0; slot < workers_.size(); ++slot) {
-    Worker& w = *workers_[slot];
-    if (!w.alive || w.abandoned || w.stdin_closed) continue;
-    const std::string token = next_token();
-    Pending p;
-    p.orig_id = req.id;
-    p.worker = slot;
-    p.fwd_line = encode_forward(token, req);
-    p.fanout = fanout;
-    ++fanout->remaining;
-    const std::string& fwd = pending_.emplace(token, std::move(p))
-                                 .first->second.fwd_line;
-    forward_to(slot, fwd);
+    forward_pending(slot, conn, req, fanout);
   }
   if (fanout->remaining == 0) finish_fanout(fanout);
 }
 
 void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
   Fanout& f = *fanout;
-  if (f.internal) {
+  if (!f.conn) {
     // Drain-time sweep: flush the fleet-wide sums into the registry so
     // the --metrics file carries what the workers saw, not just the
     // front-end's own counters. Gauges, not counters: these are
@@ -657,7 +627,6 @@ void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
                 static_cast<double>(f.evictions));
     r.set_gauge("svc.fleet.cache.size", static_cast<double>(f.size));
     r.set_gauge("svc.fleet.cache.bytes", static_cast<double>(f.bytes));
-    r.set_gauge("svc.fleet.cache.warmed", static_cast<double>(f.warmed));
     std::size_t alive = 0;
     for (const auto& w : workers_)
       if (w->alive && !w->abandoned) ++alive;
@@ -698,7 +667,6 @@ void Router::finish_fanout(const std::shared_ptr<Fanout>& fanout) {
   field(",\"capacity\":", f.capacity);
   out += ",\"hit_ratio\":";
   io::append_json_number(out, hit_ratio(cs));
-  field(",\"warmed\":", f.warmed);
   field("}},\"router\":{\"workers\":", config_.n_workers);
   field(",\"alive\":", alive);
   auto counter = [&field](std::string_view key,
@@ -774,7 +742,11 @@ void Router::event_loop() {
       // Drain phase 1: answer everything admitted, flush every client.
       if (!final_stats_sent_) {
         final_stats_sent_ = true;
-        if (obs::enabled()) start_internal_stats_fanout();
+        if (obs::enabled()) {
+          Request sweep;
+          sweep.op = Request::Op::kStats;
+          start_fanout(nullptr, sweep);
+        }
       }
       if (frontend_.flush_expired()) {
         // Budget exhausted. Whatever a worker still owes is answered

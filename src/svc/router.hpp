@@ -6,10 +6,9 @@
 // the workers run `--stdio --no-tcp`, so a worker's whole transport is
 // two pipe ends owned by the router's event loop). Each worker owns a
 // fixed shard of the rat.fp.v1 fingerprint space — requests route by
-// `fingerprint % n_workers` — and, when a cache directory is
-// configured, its own durable `--cache-dir` shard, so a restarted fleet
-// warm-starts shard by shard and a given worksheet always lands on the
-// worker that already holds its cached result.
+// `fingerprint % n_workers` — so a given worksheet always lands on the
+// worker whose in-memory result cache already holds it. A respawned
+// worker starts with an empty cache.
 //
 // Clients reach the router through the same Frontend (svc/frontend.hpp)
 // as a direct rat_serve: the same listener and accept backoff, the same
@@ -71,10 +70,8 @@ namespace rat::svc {
 struct RouterConfig : TransportConfig {
   std::size_t n_workers = 4;
   /// argv to exec one worker (typically {rat_serve, "--stdio",
-  /// "--no-tcp", ...}); the router appends the per-shard --cache-dir.
+  /// "--no-tcp", ...}); every worker runs the same command line.
   std::vector<std::string> worker_argv;
-  /// When set, worker i runs with --cache-dir=<cache_dir>/shard-<i>.
-  std::string cache_dir;
   /// When set, rewritten (atomically) after every spawn/respawn: one
   /// worker pid per line in shard order, for scripts that kill workers.
   std::string worker_pid_file;
@@ -143,10 +140,14 @@ class Router {
 
   void event_loop();
   void route_line(const ConnPtr& conn, std::string line);
+  /// Send @p req to worker @p slot under a fresh token and remember it
+  /// in pending_; @p fanout is null for an evaluate.
+  void forward_pending(std::size_t slot, const ConnPtr& conn,
+                       const Request& req, std::shared_ptr<Fanout> fanout);
+  /// Broadcast a ping/stats to every live worker. With a null @p conn it
+  /// is the drain-time stats sweep whose aggregate lands in the obs
+  /// registry (svc.fleet.* gauges) for the --metrics export.
   void start_fanout(const ConnPtr& conn, const Request& req);
-  /// Drain-time conn-less stats broadcast whose aggregate lands in the
-  /// obs registry (svc.fleet.* gauges) for the --metrics export.
-  void start_internal_stats_fanout();
   void finish_fanout(const std::shared_ptr<Fanout>& fanout);
   /// Resolve a pending request without a worker answer: a fan-out share
   /// counts as done, an evaluate gets E_INTERNAL @p why.

@@ -7,7 +7,6 @@
 #include "io/loader.hpp"
 #include "obs/metrics.hpp"
 #include "svc/fingerprint.hpp"
-#include "svc/persist.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rat::svc {
@@ -22,15 +21,7 @@ void obs_count(const char* name) {
 
 Service::Service(ServiceConfig config)
     : config_(config),
-      cache_(config.cache_capacity, config.cache_shards) {
-  if (!config_.cache_dir.empty()) {
-    persist_ = std::make_unique<PersistentResultCache>(config_.cache_dir);
-    warmed_ = persist_->warm(cache_);
-    if (obs::enabled())
-      obs::Registry::global().set_gauge("svc.cache.warmed",
-                                        static_cast<double>(warmed_));
-  }
-}
+      cache_(config.cache_capacity, config.cache_shards) {}
 
 Service::~Service() { drain(); }
 
@@ -190,15 +181,7 @@ void Service::run_evaluation(Request req, std::uint64_t deadline_ns,
       auto computed =
           std::make_shared<const std::vector<core::ThroughputPrediction>>(
               core::predict_all(inputs));
-      if (!req.no_cache) {
-        const ResultCache::PutOutcome outcome = cache_.put(key, fp, computed);
-        // Journal only genuine inserts: a refresh means another worker
-        // already computed (and persisted) this exact worksheet.
-        if (persist_ &&
-            (outcome == ResultCache::PutOutcome::kInserted ||
-             outcome == ResultCache::PutOutcome::kInsertedEvicting))
-          persist_->append(key, computed);
-      }
+      if (!req.no_cache) cache_.put(key, fp, computed);
       cached = std::move(computed);
     }
     respond(on_response, evaluate_response(req.id, fp, inputs, *cached),
@@ -253,7 +236,6 @@ Service::Stats Service::stats() const {
     std::lock_guard lock(mu_);
     st.in_flight = in_flight_;
   }
-  st.cache_warmed = warmed_;
   st.cache = cache_.stats();
   return st;
 }
@@ -281,7 +263,6 @@ std::string Service::stats_response(const std::string& id) const {
   field(",\"capacity\":", cache_.capacity());
   out += ",\"hit_ratio\":";
   io::append_json_number(out, hit_ratio(st.cache));
-  field(",\"warmed\":", st.cache_warmed);
   out += "}}}";
   return out;
 }

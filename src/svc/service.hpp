@@ -43,20 +43,12 @@
 
 namespace rat::svc {
 
-class PersistentResultCache;
-
 struct ServiceConfig {
   std::size_t cache_capacity = 1024;   ///< result-cache entries (0 = off)
   std::size_t cache_shards = 8;
   std::size_t queue_capacity = 256;    ///< max queued+running evaluations
   double default_deadline_ms = 0.0;    ///< applied when a request sets none
                                        ///< (0 = no deadline)
-  /// Durable cache directory (docs/STORE.md). Empty = in-memory only.
-  /// When set, the cache is warm-started from the store at construction
-  /// and every genuine insert is journaled; construction throws
-  /// store::StoreError if the directory is unusable or its snapshot is
-  /// corrupt.
-  std::string cache_dir{};
 };
 
 class Service {
@@ -69,7 +61,6 @@ class Service {
     std::uint64_t rejected_draining = 0;
     std::uint64_t deadline_expired = 0;
     std::uint64_t in_flight = 0;         ///< admitted, response not yet sent
-    std::uint64_t cache_warmed = 0;      ///< entries restored at startup
     ResultCache::Stats cache;
   };
 
@@ -114,8 +105,6 @@ class Service {
 
   ServiceConfig config_;
   ResultCache cache_;
-  std::unique_ptr<PersistentResultCache> persist_;  ///< null when in-memory
-  std::size_t warmed_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;

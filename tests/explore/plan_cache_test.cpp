@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/designspace.hpp"
 #include "core/units.hpp"
 #include "explore/explorer.hpp"
-#include "store/store.hpp"
+#include "store/checksum.hpp"
+#include "store/codec.hpp"
+#include "store/journal.hpp"
 
 namespace rat::explore {
 namespace {
@@ -27,6 +32,30 @@ fs::path fresh_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;
+}
+
+/// The journal payload of one cache entry: op 1 (put) | key | value.
+std::string put_payload(const std::string& key, const std::string& value) {
+  std::string p;
+  store::put_u8(p, 1);
+  store::put_string(p, key);
+  store::put_string(p, value);
+  return p;
+}
+
+/// Every (key, value) put in @p dir's journal, in journal order.
+std::vector<std::pair<std::string, std::string>> journal_entries(
+    const fs::path& dir) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& rec : store::recover_journal(dir / "journal").records) {
+    store::Cursor cur(rec.payload);
+    EXPECT_EQ(cur.u8(), 1u);
+    std::string key = cur.string();
+    std::string value = cur.string();
+    cur.expect_done();
+    out.emplace_back(std::move(key), std::move(value));
+  }
+  return out;
 }
 
 std::string render_result(const core::DesignSpaceResult& r) {
@@ -192,16 +221,15 @@ TEST(ExplorePlanCache, UndecodablePayloadIsAMissNotAnError) {
     n_cached = cold.stats.cache_puts;
   }
   ASSERT_GT(n_cached, 0u);
-  // Overwrite every cached value with garbage (valid store records whose
+  // Overwrite every cached value with garbage (valid journal records whose
   // payloads no longer decode): lookups must degrade to misses and the
   // run must quietly re-evaluate and re-cache.
   {
-    store::DurableStore raw(dir);
-    const auto candidates = core::enumerate_design_space(small_axes(), factory);
-    for (const auto& cand : candidates) {
-      const std::string key = PlanCache::key(cand, req, device);
-      if (raw.get(key)) raw.put(key, "\x7fgarbage");
-    }
+    const auto cached = journal_entries(dir);
+    ASSERT_EQ(cached.size(), n_cached);
+    store::JournalWriter raw(dir / "journal");
+    for (const auto& entry : cached)
+      raw.append(put_payload(entry.first, "\x7fgarbage"));
   }
   const auto plain =
       explore_design_space_pruned(small_axes(), factory, req, device);
@@ -220,6 +248,94 @@ TEST(ExplorePlanCache, UndecodablePayloadIsAMissNotAnError) {
   const auto warm =
       explore_design_space_pruned(small_axes(), factory, req, device, opts);
   EXPECT_EQ(warm.stats.points_evaluated, 0u);
+}
+
+TEST(ExplorePlanCache, JournalWrittenByTheSnapshotStoreStillLoads) {
+  // Before the plan cache kept its own journal it sat on a key/value
+  // store that wrote the same put records, compacted old ones into a
+  // `snapshot` file and kept later seqs (with gaps) in `journal`. Such a
+  // directory must open, replay its journal entries as hits, ignore the
+  // snapshot, and leave the result byte-identical.
+  const auto device = rcsim::virtex4_lx100();
+  const CandidateFactory factory = simple_factory(200);
+  Requirements req;
+  req.min_speedup = 0.5;
+  const auto plain =
+      explore_design_space_pruned(small_axes(), factory, req, device);
+
+  const fs::path fresh = fresh_dir("plan_cache_compat_src");
+  {
+    PlanCache cache(fresh);
+    ExploreOptions opts;
+    opts.plan_cache = &cache;
+    (void)explore_design_space_pruned(small_axes(), factory, req, device,
+                                      opts);
+  }
+  const auto entries = journal_entries(fresh);
+  ASSERT_GT(entries.size(), 1u);
+
+  // Header and records framed byte by byte: "RATSTRJ1" | u32 version |
+  // u32 CRC32C of those 12 bytes, then one frame per put, seqs starting
+  // after a compacted prefix and skipping numbers.
+  const fs::path dir = fresh_dir("plan_cache_compat");
+  {
+    std::string bytes(store::kJournalMagic, sizeof store::kJournalMagic);
+    store::put_u32(bytes, store::kStoreFormatVersion);
+    store::put_u32(bytes, store::crc32c(bytes));
+    std::uint64_t seq = 40;
+    for (const auto& [key, value] : entries) {
+      seq += 3;
+      bytes += store::frame_record(seq, put_payload(key, value));
+    }
+    std::ofstream(dir / "journal", std::ios::binary) << bytes;
+    std::ofstream(dir / "snapshot", std::ios::binary) << "RATSTRS1 not read";
+  }
+  // journal_entries(fresh) decoded the cache's own records with this very
+  // put layout; the hand-framed copy must hold the same entries.
+  const auto reread = journal_entries(dir);
+  ASSERT_EQ(reread, entries);
+
+  PlanCache cache(dir);
+  EXPECT_EQ(cache.size(), entries.size());
+  ExploreOptions opts;
+  opts.plan_cache = &cache;
+  const auto warm =
+      explore_design_space_pruned(small_axes(), factory, req, device, opts);
+  EXPECT_EQ(render_result(warm.design), render_result(plain.design));
+  EXPECT_EQ(warm.stats.points_evaluated, 0u);
+  EXPECT_EQ(warm.stats.cache_hits, entries.size());
+  EXPECT_TRUE(fs::exists(dir / "snapshot"));
+}
+
+TEST(ExplorePlanCache, TornTailIsTruncatedAndTheRestStillHits) {
+  const auto device = rcsim::virtex4_lx100();
+  const CandidateFactory factory = simple_factory(200);
+  Requirements req;
+  req.min_speedup = 0.5;
+  const fs::path dir = fresh_dir("plan_cache_torn");
+  std::size_t n_cached = 0;
+  {
+    PlanCache cache(dir);
+    ExploreOptions opts;
+    opts.plan_cache = &cache;
+    n_cached = explore_design_space_pruned(small_axes(), factory, req, device,
+                                           opts)
+                   .stats.cache_puts;
+  }
+  ASSERT_GT(n_cached, 1u);
+  // A crash mid-append: the last record loses its final bytes.
+  const fs::path journal = dir / "journal";
+  fs::resize_file(journal, fs::file_size(journal) - 5);
+
+  PlanCache cache(dir);
+  EXPECT_EQ(cache.size(), n_cached - 1);
+  ExploreOptions opts;
+  opts.plan_cache = &cache;
+  const auto rerun =
+      explore_design_space_pruned(small_axes(), factory, req, device, opts);
+  EXPECT_EQ(rerun.stats.cache_hits, n_cached - 1);
+  EXPECT_EQ(rerun.stats.points_evaluated, 1u);
+  EXPECT_EQ(journal_entries(dir).size(), n_cached);
 }
 
 TEST(ExplorePlanCache, CacheAndCheckpointComposeByteIdentically) {

@@ -81,7 +81,7 @@ TEST(StoreJournal, AppendWithSeqKeepsOriginalNumbers) {
   {
     JournalWriter w = JournalWriter::create(path);
     w.append_with_seq(5, "five");
-    w.append_with_seq(9, "nine");  // gaps are legal (compaction survivors)
+    w.append_with_seq(9, "nine");  // gaps are legal
     w.sync();
   }
   const RecoveredJournal rec = recover_journal(path);

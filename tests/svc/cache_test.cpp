@@ -98,9 +98,8 @@ TEST(SvcCache, PutReportsInsertRefreshAndEviction) {
   const std::uint64_t fp_a = fnv1a64("a");
   EXPECT_EQ(cache.put("a", fp_a, value_for(1.0)),
             ResultCache::PutOutcome::kInserted);
-  // Same key again: the concurrent-duplicate-compute path. The
-  // persistence layer must see this as NOT a genuine insert, or every
-  // race would append a duplicate journal record.
+  // Same key again: the concurrent-duplicate-compute path, reported as
+  // a refresh rather than a genuine insert.
   EXPECT_EQ(cache.put("a", fp_a, value_for(1.5)),
             ResultCache::PutOutcome::kRefreshed);
   EXPECT_EQ(cache.put("b", fnv1a64("b"), value_for(2.0)),

@@ -406,5 +406,36 @@ TEST(SvcRouter, DrainFlushesAggregatedFleetStatsIntoMetrics) {
   obs::Registry::global().reset();
 }
 
+TEST(SvcRouter, ForwardedCountsClientSubRequestsButNotTheDrainSweep) {
+  obs::Registry::global().reset();
+  obs::set_enabled(true);
+  Router::Stats st;
+  {
+    Router router(worker_fleet(2));
+    router.start();
+    Client client(router.port());
+    // One sub-request per worker for each broadcast, one per evaluate.
+    client.send_line("{\"id\":\"p\",\"op\":\"ping\"}");
+    ASSERT_TRUE(client.read_line().has_value());
+    client.send_line(evaluate_line("e", core::pdf1d_inputs().serialize()));
+    ASSERT_TRUE(client.read_line().has_value());
+    client.send_line("{\"id\":\"s\",\"op\":\"stats\"}");
+    ASSERT_TRUE(client.read_line().has_value());
+    router.trigger_stop();
+    router.run();
+    st = router.stats();
+  }
+  obs::set_enabled(false);
+
+  // The drain-time stats sweep reached both workers, yet forwarded still
+  // counts only the five client sub-requests.
+  const auto gauges = obs::Registry::global().gauges();
+  ASSERT_NE(gauges.find("svc.fleet.requests"), gauges.end());
+  EXPECT_EQ(st.forwarded, 5u);
+  EXPECT_EQ(obs::Registry::global().counters().at("svc.router.forwarded"),
+            5u);
+  obs::Registry::global().reset();
+}
+
 }  // namespace
 }  // namespace rat::svc

@@ -395,7 +395,7 @@ const char* const kStats =
     "\"responses_error\":0,\"rejected_overloaded\":0,\"rejected_draining\":0,"
     "\"deadline_expired\":0,\"in_flight\":0,\"cache\":{\"hits\":1,"
     "\"misses\":1,\"evictions\":0,\"size\":1,\"bytes\":584,"
-    "\"capacity\":1024,\"hit_ratio\":0.5,\"warmed\":0}}}";
+    "\"capacity\":1024,\"hit_ratio\":0.5}}}";
 
 TEST(SvcWireGolden, CanonicalText) {
   EXPECT_EQ(canonical_text(fixture("pdf1d")), kCanonicalPdf1d);
